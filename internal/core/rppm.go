@@ -205,6 +205,9 @@ func PredictOpts(prof *profiler.Profile, cfg arch.Config, opts interval.ModelOpt
 			return nil, fmt.Errorf("core: thread %d has %d epochs but %d events",
 				t, len(tp.Epochs), len(tp.Events))
 		}
+		if k := len(tp.Events); k == 0 || tp.Events[k-1].Kind != trace.SyncThreadExit {
+			return nil, fmt.Errorf("core: thread %d does not end with a thread exit", t)
+		}
 		stacks := make([]interval.Stack, len(tp.Epochs))
 		active := make([]float64, len(tp.Epochs))
 		for i, ep := range tp.Epochs {

@@ -277,3 +277,20 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("invalid config accepted by CRIT")
 	}
 }
+
+// TestUnterminatedThreadRejected: a thread whose event stream does not end
+// with its exit (as a checksummed but hand-made profile file can carry)
+// is rejected with an error; the symbolic execution would otherwise run
+// past its last epoch.
+func TestUnterminatedThreadRejected(t *testing.T) {
+	for _, events := range [][]trace.Event{nil, {{Kind: trace.SyncBarrier, Obj: 1, Arg: 1}}} {
+		tp := &profiler.ThreadProfile{Events: events}
+		for range events {
+			tp.Epochs = append(tp.Epochs, profiler.NewEpoch())
+		}
+		prof := &profiler.Profile{Name: "unterminated", NumThreads: 1, Threads: []*profiler.ThreadProfile{tp}}
+		if _, err := Predict(prof, arch.Base()); err == nil {
+			t.Fatalf("%d events without a thread exit accepted", len(events))
+		}
+	}
+}

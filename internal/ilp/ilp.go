@@ -31,14 +31,17 @@ type Result struct {
 	Cres float64
 }
 
-// classLatency returns the execution latency used for critical-path
-// weighting. Loads are weighted with the L1 hit latency: the base component
-// assumes cache hits, misses are charged to the memory components.
-func classLatency(c trace.Class, cfg *arch.Config) float64 {
-	if c == trace.Load {
-		return float64(cfg.L1D.HitLatency)
+// classLatencies returns the execution latency of every class used for
+// critical-path weighting. Loads are weighted with the L1 hit latency: the
+// base component assumes cache hits, misses are charged to the memory
+// components.
+func classLatencies(cfg *arch.Config) [trace.NumClasses]float64 {
+	var lat [trace.NumClasses]float64
+	for c := range lat {
+		lat[c] = float64(trace.Class(c).ExecLatency())
 	}
-	return float64(c.ExecLatency())
+	lat[trace.Load] = float64(cfg.L1D.HitLatency)
+	return lat
 }
 
 // Analyze computes Deff and Cres for a set of micro-trace windows under a
@@ -110,8 +113,11 @@ func fuLimit(mix [trace.NumClasses]uint64, cfg *arch.Config) float64 {
 
 // windowILP walks the micro-traces, partitions them into ROB-sized chunks,
 // and returns the harmonic-mean IPC bound W/L plus the mean branch
-// resolution depth.
+// resolution depth. Every window class must be below trace.NumClasses and
+// every dependence must name an earlier instruction (or -1), as the
+// profiler emits and the profile codec enforces.
 func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, haveILP, haveBranches bool) {
+	classLat := classLatencies(cfg)
 	rob := cfg.ROBSize
 	var cycleSum, instrSum float64
 	var branchDepthSum float64
@@ -129,7 +135,7 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 			depth = depth[:0]
 			chunkCrit := 0.0
 			for i := start; i < end; i++ {
-				lat := classLatency(w.Classes[i], cfg)
+				lat := classLat[w.Classes[i]]
 				d := lat
 				if p := w.Dep1[i]; p >= 0 && int(p) >= start {
 					if v := depth[int(p)-start] + lat; v > d {

@@ -5,7 +5,6 @@ import (
 	"rppm/internal/ilp"
 	"rppm/internal/mlp"
 	"rppm/internal/profiler"
-	"rppm/internal/statstack"
 )
 
 // Diagnosis exposes the intermediate model quantities behind a PredictEpoch
@@ -22,7 +21,8 @@ type Diagnosis struct {
 	BranchMiss float64
 }
 
-// Diagnose recomputes the internals of PredictEpoch for inspection.
+// Diagnose recomputes the internals of PredictEpoch for inspection, from
+// the same memoized StatStack models.
 func Diagnose(ep *profiler.Epoch, cfg *arch.Config) Diagnosis {
 	var d Diagnosis
 	res := ilp.Analyze(ep.Windows, ep.Mix, cfg)
@@ -30,12 +30,11 @@ func Diagnose(ep *profiler.Epoch, cfg *arch.Config) Diagnosis {
 	d.Cres = res.Cres
 	d.BranchMiss = ep.Branch.MissRate(cfg.BPredBytes)
 	if ep.ILineAccesses > 0 {
-		im := statstack.New(ep.InstrRD)
-		d.MissRate.L1I = im.MissRate(cfg.L1I.Lines())
+		d.MissRate.L1I = ep.Models().Instr.MissRate(cfg.L1I.Lines())
 	}
 	if ep.Loads > 0 {
-		pm := statstack.New(ep.PrivateRD)
-		gm := statstack.New(ep.GlobalRD)
+		models := ep.Models()
+		pm, gm := models.Private, models.Global
 		d.MissRate.L1D = pm.MissRate(cfg.L1D.Lines())
 		d.MissRate.L2 = minF(pm.MissRate(cfg.L2.Lines()), d.MissRate.L1D)
 		d.MissRate.LLC = minF(gm.MissRate(cfg.LLC.Lines()), d.MissRate.L2)

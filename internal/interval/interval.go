@@ -142,10 +142,11 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 
 	// Data cache components: private reuse distances predict the private
 	// L1/L2, global reuse distances predict the shared LLC (the
-	// multithreaded StatStack extension).
+	// multithreaded StatStack extension). The models are the epoch's
+	// memoized ones, built once per profile.
 	if ep.Loads > 0 {
-		pm := statstack.New(ep.PrivateRD)
-		gm := statstack.New(ep.GlobalRD)
+		models := ep.Models()
+		pm, gm := models.Private, models.Global
 		if opts.LLCFromPrivateRD {
 			gm = pm
 		}
@@ -176,7 +177,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 	// is invisible: discount fetch-miss cycles by the fraction of time the
 	// window is memory-bound.
 	if ep.ILineAccesses > 0 {
-		im := statstack.New(ep.InstrRD)
+		im := ep.Models().Instr
 		m1 := im.MissRate(cfg.L1I.Lines())
 		m2 := minF(im.MissRate(cfg.L2.Lines()), m1)
 		m3 := minF(im.MissRate(cfg.LLC.Lines()), m2)

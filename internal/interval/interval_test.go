@@ -164,3 +164,53 @@ func TestEffectiveMLP(t *testing.T) {
 		t.Fatalf("effectiveMLP(5) = %v, want in (1, 5)", e)
 	}
 }
+
+// TestDiagnoseMatchesPredictEpoch: Diagnose reads the same memoized
+// models PredictEpoch does, so its miss rates and MLP rebuild
+// PredictEpoch's memory components bit for bit, and it leaves the memo
+// PredictEpoch built in place.
+func TestDiagnoseMatchesPredictEpoch(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, name := range []string{"nw", "kmeans", "streamcluster"} {
+		prof := profileOf(t, name, 0.05)
+		for _, cfg := range arch.DesignSpace() {
+			cfg := cfg
+			for tid, tp := range prof.Threads {
+				for ei, ep := range tp.Epochs {
+					if ep.Instr == 0 {
+						continue
+					}
+					st := PredictEpoch(ep, &cfg)
+					models := ep.Models()
+					d := Diagnose(ep, &cfg)
+					if ep.Models() != models {
+						t.Fatalf("%s t%d e%d: Diagnose replaced the epoch's models", name, tid, ei)
+					}
+					if !same(st.Base, float64(ep.Instr)/d.Deff) {
+						t.Fatalf("%s t%d e%d %s: base %v, Diagnose's Deff gives %v", name, tid, ei, cfg.Name, st.Base, float64(ep.Instr)/d.Deff)
+					}
+					if ep.ILineAccesses > 0 && !same(d.MissRate.L1I, models.Instr.MissRate(cfg.L1I.Lines())) {
+						t.Fatalf("%s t%d e%d %s: L1I miss rate %v differs from the memoized model's", name, tid, ei, cfg.Name, d.MissRate.L1I)
+					}
+					if ep.Loads == 0 {
+						continue
+					}
+					hide := overlapWindow(&cfg, d.Deff)
+					exposed := func(lat int) float64 { return math.Max(float64(lat)-hide, 0) }
+					loads := float64(ep.Loads)
+					mr := d.MissRate
+					l2 := loads * (mr.L1D - mr.L2) * exposed(cfg.L2.HitLatency)
+					llc := loads * (mr.L2 - mr.LLC) * exposed(cfg.LLC.HitLatency)
+					dram := 0.0
+					if mr.LLC > 0 {
+						dram = loads * mr.LLC * float64(cfg.MemLatency) / effectiveMLP(d.MLP)
+					}
+					if !same(st.MemL2, l2) || !same(st.MemLLC, llc) || !same(st.MemDRAM, dram) {
+						t.Fatalf("%s t%d e%d %s: stack L2/LLC/DRAM %v/%v/%v, Diagnose's miss rates give %v/%v/%v",
+							name, tid, ei, cfg.Name, st.MemL2, st.MemLLC, st.MemDRAM, l2, llc, dram)
+					}
+				}
+			}
+		}
+	}
+}

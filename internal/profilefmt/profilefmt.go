@@ -43,7 +43,9 @@
 //	    sampled windows (full tier only): uvarint window count, per window:
 //	      uvarint length; Classes as raw bytes; Dep1 then Dep2 as zigzag
 //	      varints; GlobalRD as uvarints under the mapping -1→0, Infinite→1,
-//	      v→v+2; IsLoad as a packed LSB-first bitset
+//	      v→v+2; IsLoad as a packed LSB-first bitset. Every class is
+//	      below trace.NumClasses and every dependence is -1 or an earlier
+//	      index of the window, checked on encode and decode
 //	  events: uvarint count, then per event: byte kind, uvarint object id,
 //	    zigzag varint argument
 //
@@ -234,6 +236,9 @@ func appendWindow(buf []byte, w *profiler.Window) ([]byte, error) {
 		return nil, fmt.Errorf("profilefmt: ragged window (classes %d dep1 %d dep2 %d rd %d load %d)",
 			n, len(w.Dep1), len(w.Dep2), len(w.GlobalRD), len(w.IsLoad))
 	}
+	if err := checkWindow(w); err != nil {
+		return nil, err
+	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, c := range w.Classes {
 		buf = append(buf, byte(c))
@@ -270,6 +275,27 @@ func appendWindow(buf []byte, w *profiler.Window) ([]byte, error) {
 		buf = append(buf, acc)
 	}
 	return buf, nil
+}
+
+// checkWindow rejects a window the ILP and MLP models cannot evaluate: an
+// instruction class outside trace.NumClasses, or a dependence that is
+// neither -1 (producer outside the window) nor an earlier instruction of
+// the window. The profiler never emits either; a file that carries one
+// would otherwise fail at prediction time with an index out of range.
+func checkWindow(w *profiler.Window) error {
+	for i, c := range w.Classes {
+		if int(c) >= trace.NumClasses {
+			return fmt.Errorf("profilefmt: window instruction %d has unknown class %d", i, c)
+		}
+	}
+	for _, dep := range [2][]int16{w.Dep1, w.Dep2} {
+		for i, p := range dep {
+			if p < -1 || int(p) >= i {
+				return fmt.Errorf("profilefmt: window instruction %d names producer %d, not an earlier instruction", i, p)
+			}
+		}
+	}
+	return nil
 }
 
 func boolByte(b bool) byte {
@@ -707,7 +733,7 @@ func (t *threadDecoder) window() (profiler.Window, error) {
 	for i := range w.IsLoad {
 		w.IsLoad[i] = bits[i/8]&(1<<(uint(i)%8)) != 0
 	}
-	return w, nil
+	return w, checkWindow(&w)
 }
 
 // WriteFile atomically persists the profile at path on the host

@@ -2,6 +2,8 @@ package profilefmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"rppm/internal/core"
 	"rppm/internal/profiler"
 	"rppm/internal/stats"
+	"rppm/internal/trace"
 	"rppm/internal/workload"
 )
 
@@ -274,6 +277,94 @@ func TestEnvelopeErrors(t *testing.T) {
 	}
 }
 
+// windowProfile is a minimal one-thread profile whose only epoch carries
+// one three-instruction window: an ALU op, a consumer of it, and a branch
+// on the consumer.
+func windowProfile() (*profiler.Profile, *profiler.Window) {
+	ep := profiler.NewEpoch()
+	ep.Instr = 3
+	ep.Windows = []profiler.Window{{
+		Classes:  []trace.Class{trace.IntALU, trace.IntALU, trace.Branch},
+		Dep1:     []int16{-1, 0, 1},
+		Dep2:     []int16{-1, -1, 0},
+		GlobalRD: []int64{-1, -1, -1},
+		IsLoad:   []bool{false, false, false},
+	}}
+	p := &profiler.Profile{Name: "window", NumThreads: 1, Threads: []*profiler.ThreadProfile{{
+		Epochs: []*profiler.Epoch{ep},
+		Events: []trace.Event{{Kind: trace.SyncThreadExit}},
+	}}}
+	return p, &ep.Windows[0]
+}
+
+// TestDecodeRejectsUnevaluableWindows: a checksummed file whose window
+// names an unknown instruction class, or a producer at or after its
+// consumer, is rejected at decode. Unchecked, it would decode and then
+// panic the ILP model with an index out of range at prediction time.
+func TestDecodeRejectsUnevaluableWindows(t *testing.T) {
+	p, w := windowProfile()
+	data, err := Encode(p, profiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(data); err != nil {
+		t.Fatalf("well-formed window rejected: %v", err)
+	}
+	enc, err := appendWindow(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(data, enc) != 1 {
+		t.Fatal("window encoding not found exactly once in the file")
+	}
+	at := bytes.Index(data, enc)
+	// Window layout: length, 3 class bytes, 3 Dep1 varints, 3 Dep2 varints
+	// (every value here fits one zigzag byte), ...
+	classes, dep1, dep2 := at+1, at+4, at+7
+	for _, c := range []struct {
+		name string
+		off  int
+		b    byte
+		want string
+	}{
+		{"unknown class", classes + 2, byte(trace.NumClasses), "unknown class"},
+		{"self dependence", dep1 + 1, 2 /* zigzag 1 */, "names producer 1"},
+		{"forward dependence", dep2 + 0, 4 /* zigzag 2 */, "names producer 2"},
+		{"dependence below -1", dep2 + 1, 3 /* zigzag -2 */, "names producer -2"},
+	} {
+		bad := append([]byte(nil), data...)
+		bad[c.off] = c.b
+		body := bad[:len(bad)-4]
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(body))
+		_, _, err := Decode(bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Decode error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestEncodeRejectsUnevaluableWindows: the encoder refuses the same
+// windows the decoder rejects, so no file it writes can fail to load.
+func TestEncodeRejectsUnevaluableWindows(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(w *profiler.Window)
+		want   string
+	}{
+		{"unknown class", func(w *profiler.Window) { w.Classes[0] = trace.Class(trace.NumClasses) }, "unknown class"},
+		{"self dependence", func(w *profiler.Window) { w.Dep1[1] = 1 }, "names producer 1"},
+		{"forward dependence", func(w *profiler.Window) { w.Dep2[0] = 2 }, "names producer 2"},
+		{"dependence below -1", func(w *profiler.Window) { w.Dep1[2] = -2 }, "names producer -2"},
+	} {
+		p, w := windowProfile()
+		c.mutate(w)
+		_, err := Encode(p, profiler.Options{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Encode error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // FuzzDecode: arbitrary bytes must never panic the decoder. Seeds include
 // a valid encoding so the fuzzer mutates from real structure.
 func FuzzDecode(f *testing.F) {
@@ -301,6 +392,16 @@ func FuzzDecode(f *testing.F) {
 		if _, err := Encode(dec, profiler.Options{}); err != nil {
 			t.Fatalf("decoded profile does not re-encode: %v", err)
 		}
+		// ... and one the model can evaluate: a prediction may reject it
+		// with an error but must never panic.
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("core.Predict panicked on a decoded profile: %v", r)
+				}
+			}()
+			_, _ = core.Predict(dec, arch.Base())
+		}()
 	})
 }
 

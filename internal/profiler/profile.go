@@ -27,8 +27,11 @@
 package profiler
 
 import (
+	"sync/atomic"
+
 	"rppm/internal/branchmodel"
 	"rppm/internal/stats"
+	"rppm/internal/statstack"
 	"rppm/internal/trace"
 )
 
@@ -72,6 +75,40 @@ type Epoch struct {
 	CoherenceInvalidations uint64
 
 	Windows []Window
+
+	// models memoizes the StatStack models of the reuse-distance
+	// histograms. A model depends only on its histogram, never on a
+	// configuration, so one build serves every prediction of the epoch.
+	// Lazily built, dropped by Merge. Atomic because finished profiles
+	// are read by concurrent prediction workers: racing builders store
+	// identical contents, so either wins.
+	models atomic.Pointer[Models]
+}
+
+// Models are an epoch's StatStack models, built only where the interval
+// model reads them: Private and Global when the epoch has loads, Instr
+// when it touches instruction lines. The others are nil.
+type Models struct {
+	Private, Global, Instr *statstack.Model
+}
+
+// Models returns the epoch's StatStack models, building them on first
+// use; safe for concurrent use. The histograms must not be modified
+// afterwards except through Merge.
+func (e *Epoch) Models() *Models {
+	if m := e.models.Load(); m != nil {
+		return m
+	}
+	m := &Models{}
+	if e.Loads > 0 {
+		m.Private = statstack.New(e.PrivateRD)
+		m.Global = statstack.New(e.GlobalRD)
+	}
+	if e.ILineAccesses > 0 {
+		m.Instr = statstack.New(e.InstrRD)
+	}
+	e.models.Store(m)
+	return m
 }
 
 // NewEpoch returns an empty epoch profile.
@@ -106,6 +143,7 @@ func (e *Epoch) Merge(other *Epoch) {
 	e.InstrRD.Merge(other.InstrRD)
 	e.CoherenceInvalidations += other.CoherenceInvalidations
 	e.Windows = append(e.Windows, other.Windows...)
+	e.models.Store(nil)
 }
 
 // ThreadProfile is one thread's sequence of epochs delimited by its

@@ -3,6 +3,7 @@ package profiler
 import (
 	"unsafe"
 
+	"rppm/internal/statstack"
 	"rppm/internal/trace"
 )
 
@@ -26,9 +27,29 @@ func (e *Epoch) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*e))
 	n += e.Branch.SizeBytes()
 	n += e.PrivateRD.SizeBytes() + e.GlobalRD.SizeBytes() + e.InstrRD.SizeBytes()
+	n += e.modelsSizeBytes()
 	n += int64(len(e.Windows)) * int64(unsafe.Sizeof(Window{}))
 	for i := range e.Windows {
 		n += e.Windows[i].SizeBytes()
+	}
+	return n
+}
+
+// modelsSizeBytes returns the resident size of the epoch's StatStack
+// model memo. Like the histograms' suffix caches it is charged at its
+// eventual size whether or not it has been built yet: prediction builds it
+// after the profile is cached, and accounting must not depend on
+// measurement timing.
+func (e *Epoch) modelsSizeBytes() int64 {
+	if e.Loads == 0 && e.ILineAccesses == 0 {
+		return 0
+	}
+	n := int64(unsafe.Sizeof(Models{}))
+	if e.Loads > 0 {
+		n += statstack.ModelSizeBytes(e.PrivateRD) + statstack.ModelSizeBytes(e.GlobalRD)
+	}
+	if e.ILineAccesses > 0 {
+		n += statstack.ModelSizeBytes(e.InstrRD)
 	}
 	return n
 }

@@ -28,6 +28,7 @@ package statstack
 import (
 	"math"
 	"sort"
+	"unsafe"
 
 	"rppm/internal/stats"
 )
@@ -53,11 +54,11 @@ func New(h *stats.Histogram) *Model {
 	// Sample points: dense at small distances, geometric beyond, out to the
 	// largest finite distance observed.
 	maxR := float64(h.Max()) + 1
-	var rs []float64
-	for r := 1.0; r <= 64; r++ {
+	rs := make([]float64, 0, samplePoints(maxR))
+	for r := 1.0; r <= denseMax; r++ {
 		rs = append(rs, r)
 	}
-	for r := 72.0; r < maxR; r *= 1.09 {
+	for r := geoStart; r < maxR; r *= geoRatio {
 		rs = append(rs, math.Floor(r))
 	}
 	rs = append(rs, maxR)
@@ -77,6 +78,41 @@ func New(h *stats.Histogram) *Model {
 	m.rs = rs
 	m.sd = sd
 	return m
+}
+
+// New's reuse-distance sample grid: every distance up to denseMax, then
+// geometric steps of geoRatio from geoStart.
+const (
+	denseMax = 64
+	geoStart = 72.0
+	geoRatio = 1.09
+)
+
+// samplePoints returns the number of reuse-distance sample points New
+// takes for a histogram whose largest finite distance is maxR-1.
+func samplePoints(maxR float64) int {
+	n := denseMax + 1 // the dense points and the closing maxR
+	for r := geoStart; r < maxR; r *= geoRatio {
+		n++
+	}
+	return n
+}
+
+// ModelSizeBytes returns the resident size of the model New builds from h,
+// without building it, for memory-budget accounting of a lazily built
+// model.
+func ModelSizeBytes(h *stats.Histogram) int64 {
+	n := int64(unsafe.Sizeof(Model{}))
+	if h == nil || h.Count() == 0 {
+		return n
+	}
+	return n + 2*8*int64(samplePoints(float64(h.Max())+1))
+}
+
+// SizeBytes returns the resident size of the model: the struct and its
+// sample arrays (the histogram is owned by the caller).
+func (m *Model) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*m)) + 8*int64(cap(m.rs)+cap(m.sd))
 }
 
 // StackDistance returns the expected stack distance for a reuse distance r.

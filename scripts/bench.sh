@@ -24,9 +24,10 @@
 # Delete the file first for a from-scratch measurement.
 #
 # The micro-benchmarks (profiler, simulator, caches, hashmap, trace
-# record/replay, server warm/cold request throughput) are the hot-path
-# gauges; the root-level benchmarks regenerate the paper's tables and
-# figures end to end and run the 16-config design-space sweep against its
+# record/replay, server warm/cold request throughput, and the model alone:
+# one resident profile predicted on 16 configs) are the hot-path gauges;
+# the root-level benchmarks regenerate the paper's tables and figures end
+# to end and run the 16-config design-space sweep against its
 # regeneration baseline. The ServePredict warm/cold pair reports req/s:
 # warm is a resident-cache hit plus JSON encode, cold pays the full
 # record+profile+predict pipeline — the ratio is the value of `rppm serve`.
@@ -45,9 +46,9 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 echo "== micro-benchmarks (-benchtime $MICRO_TIME -count $COUNT)" >&2
-go test -run XXX -bench 'BenchmarkProfilerInstr|BenchmarkSimStep|BenchmarkSimStepSweep|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkUpsert|BenchmarkRecord|BenchmarkReplay|BenchmarkReplayColumns|BenchmarkDecodeShared|BenchmarkGenerate|BenchmarkServePredictWarm|BenchmarkServePredictCold|BenchmarkServePredictColdPersisted|BenchmarkServeSweepWarm' \
+go test -run XXX -bench 'BenchmarkProfilerInstr|BenchmarkSimStep|BenchmarkSimStepSweep|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkUpsert|BenchmarkRecord|BenchmarkReplay|BenchmarkReplayColumns|BenchmarkDecodeShared|BenchmarkGenerate|BenchmarkServePredictWarm|BenchmarkServePredictCold|BenchmarkServePredictColdPersisted|BenchmarkServeSweepWarm|BenchmarkPredictSweep' \
   -benchmem -benchtime "$MICRO_TIME" -count "$COUNT" \
-  ./internal/profiler ./internal/sim ./internal/cache ./internal/hashmap ./internal/trace ./internal/server \
+  ./internal/profiler ./internal/sim ./internal/cache ./internal/hashmap ./internal/trace ./internal/server ./internal/core \
   | tee "$TMP/micro.txt" >&2
 
 echo "== experiment benchmarks (-benchtime $MACRO_TIME -count $COUNT)" >&2
