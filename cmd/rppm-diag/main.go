@@ -76,7 +76,7 @@ func main() {
 }
 
 // profileDump inspects persisted profile files (format v2, .rpp): header,
-// checksum verdict, tier, and per-thread epoch/histogram summaries. Returns
+// checksum verdict, and per-thread epoch/histogram summaries. Returns
 // the process exit code (non-zero when any file fails to decode).
 func profileDump(paths []string) int {
 	if len(paths) == 0 {
@@ -107,13 +107,9 @@ func dumpOne(path string) error {
 	if err != nil {
 		return err
 	}
-	tier := "full"
-	if prof.Compact {
-		tier = "compact"
-	}
 	fmt.Printf("%s: rppm profile v%d, %d bytes, CRC ok\n", path, profilefmt.FileVersion, fi.Size())
-	fmt.Printf("  workload %q, %d threads, %d instructions, %s tier\n",
-		prof.Name, prof.NumThreads, prof.TotalInstr(), tier)
+	fmt.Printf("  workload %q, %d threads, %d instructions\n",
+		prof.Name, prof.NumThreads, prof.TotalInstr())
 	fmt.Printf("  profiler options: window size %d, interval %d, coherence %v\n",
 		opts.WindowSize, opts.WindowInterval, !opts.NoCoherence)
 	cs, barriers, cv := prof.SyncCounts()

@@ -134,7 +134,7 @@ func summarizeTraceEvents(w io.Writer, body []byte) (int, error) {
 				pct = 100 * ev.Dur / root.Dur
 			}
 			var notes []string
-			for _, k := range []string{"cache", "tier", "bytes", "config", "outcome", "retry", "breaker"} {
+			for _, k := range []string{"cache", "bytes", "config", "outcome", "retry", "breaker"} {
 				if v, ok := ev.Args[k]; ok {
 					notes = append(notes, k+"="+v)
 				}

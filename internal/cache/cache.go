@@ -28,25 +28,16 @@ import (
 // tag array, one contiguous run of ways per set (one or two cache lines of
 // host memory), and the whole cache is a single allocation.
 //
-// Recency has two interchangeable representations, selected at build time
-// by packedLRU (see its comment for the measured trade-off):
-//
-//   - move-to-front (order == nil, the default): tags within a set are
-//     ordered most- to least-recently used and a hit is memmoved to the
-//     front, so recency lives inside the tag row itself and slot 0 is
-//     always the MRU;
-//   - packed rank words (order != nil): tags stay in fixed slots and a
-//     per-set uint64 tracks recency — nibble r holds the way index of the
-//     r-th most-recently-used slot — so a promotion is a few
-//     register-width bit operations and no tag moves.
-//
-// Associativities above 16 cannot pack into nibbles and always use
-// move-to-front (internal/arch never produces them).
+// Recency lives inside the tag row itself: tags within a set are ordered
+// most- to least-recently used and a hit is memmoved to the front, so
+// slot 0 is always the MRU. A separate per-set rank word would avoid the
+// memmove, but every access would then touch a second, often-cold host
+// cache line; measured on this suite's scattered access patterns that
+// costs more than the memmove it saves.
 type Cache struct {
 	ways    int
 	setMask uint64
 	tags    []uint64 // len = sets*ways; tags[s*ways : (s+1)*ways]; biased by +1, 0 = empty
-	order   []uint64 // per-set packed LRU permutation: nibble r = way of rank r (rank 0 = MRU)
 
 	hits, misses uint64
 }
@@ -67,58 +58,11 @@ func New(cfg arch.CacheConfig) *Cache {
 		sets = p
 	}
 	c.tags = make([]uint64, sets*cfg.Assoc) // zero = empty, by the tag bias
-	if c.ways <= 16 && packedLRU {
-		c.initPackedOrder()
-	}
 	return c
 }
 
-// packedLRU selects the packed-rank-word recency layout (see
-// initPackedOrder) for associativities up to 16; when false every level
-// uses the move-to-front layout. Both layouts maintain the identical
-// abstract LRU list (TestPackedLRUMatchesMoveToFront), so flipping this
-// changes no simulation result, only host-side cost. Measured on this
-// suite the packed layout loses: it avoids the move-to-front memmove, but
-// every access touches a second host cache line (the set's rank word next
-// to its tag row), and on scattered access patterns — the full-hierarchy
-// benchmark, the kmeans sweep — that extra often-cold line costs more
-// than the memmove it saves (BenchmarkHierarchyData ~64 vs ~72 ns/op).
-// The move-to-front layout also gives the MRU fast paths a free MRU
-// lookup: slot 0 is the MRU by construction. Kept as a build-time switch
-// so the trade-off stays measurable as workloads evolve.
-const packedLRU = false
-
-// initPackedOrder switches the cache to the packed recency layout: every
-// rank word starts as the identity permutation — way r at rank r,
-// matching an empty set that fills front to back. One word per set, so
-// this init pass is 1/ways the size of the (already zeroed) tag array.
-func (c *Cache) initPackedOrder() {
-	var id uint64
-	for w := 0; w < c.ways; w++ {
-		id |= uint64(w) << (4 * uint(w))
-	}
-	sets := int(c.setMask) + 1
-	c.order = make([]uint64, sets)
-	for i := range c.order {
-		c.order[i] = id
-	}
-}
-
-// mru returns the way index of the set's most-recently-used slot: the low
-// nibble of the rank word, or slot 0 under the move-to-front layout (which
-// keeps the MRU tag in front by construction). Small enough to inline into
-// the MRU fast paths.
-func (c *Cache) mru(set uint64) int {
-	if c.order != nil {
-		return int(c.order[set] & 15)
-	}
-	return 0
-}
-
-// set returns the tag slice of the set holding lineAddr. With packed rank
-// words the slots are position-fixed (recency lives in order); under the
-// move-to-front fallback they are ordered MRU first. Contains and
-// Invalidate are order-agnostic, so both layouts share them.
+// set returns the tag slice of the set holding lineAddr, ordered MRU
+// first.
 func (c *Cache) set(lineAddr uint64) []uint64 {
 	base := int(lineAddr&c.setMask) * c.ways
 	return c.tags[base : base+c.ways]
@@ -128,67 +72,7 @@ func (c *Cache) set(lineAddr uint64) []uint64 {
 // a miss (evicting the LRU way). It returns whether the access hit and, on
 // miss, the evicted line address (victim) and whether a valid line was
 // evicted.
-//
-// Under the packed layout a hit at rank r is promoted by rotating the low
-// r+1 nibbles of the rank word: no tag moves. The abstract recency list is
-// element-for-element identical between the two layouts
-// (TestPackedLRUMatchesMoveToFront proves it differentially), so hit/miss
-// counts and victim choices never depend on the representation.
 func (c *Cache) Access(lineAddr uint64) (hit bool, victim uint64, evicted bool) {
-	if c.order == nil {
-		return c.accessMoveToFront(lineAddr)
-	}
-	set := int(lineAddr & c.setMask)
-	base := set * c.ways
-	tag := lineAddr + 1
-	// Scan the tag slots in way order, not rank order: presence does not
-	// depend on recency, and a linear walk of the (cache-line-sized) tag
-	// row beats a data-dependent probe per rank nibble. The rank word is
-	// only consulted afterwards — to locate the hit way's rank for the
-	// promotion, or the LRU way for the eviction, both O(1) word ops.
-	tags := c.tags[base : base+c.ways]
-	for i, t := range tags {
-		if t == tag {
-			c.hits++
-			o := c.order[set]
-			w := uint64(i)
-			if o&15 != w {
-				// Find the hit way's rank r (≥ 1 here), then promote it
-				// to rank 0: ranks 0..r-1 shift up one, ranks above r
-				// keep their nibbles.
-				r := 1
-				for q := o >> 4; q&15 != w; q >>= 4 {
-					r++
-				}
-				keep := uint64(1)<<(4*uint(r+1)) - 1
-				c.order[set] = o&^keep | (o&(keep>>4))<<4 | w
-			}
-			return true, 0, false
-		}
-	}
-	c.misses++
-	o := c.order[set]
-	w := o >> (4 * uint(c.ways-1)) & 15 // the LRU-ranked way
-	slot := &tags[int(w)]
-	victim, evicted = *slot-1, *slot != 0
-	if !evicted {
-		victim = 0
-	}
-	*slot = tag
-	// Promote the refilled way from the LRU rank to MRU: every other rank
-	// shifts up one. (For 16 ways the keep mask is the full word; Go
-	// defines 1<<64 as 0, so the expression still reads all-ones.)
-	keep := uint64(1)<<(4*uint(c.ways)) - 1
-	c.order[set] = o&^keep | (o&(keep>>4))<<4 | w
-	return false, victim, evicted
-}
-
-// accessMoveToFront is the move-to-front Access: tags ordered most- to
-// least-recently used within the set, hits memmoved to the front. The
-// default layout (see packedLRU), the fallback for associativities the
-// 4-bit rank packing cannot represent, and the reference model for the
-// packed path's differential test.
-func (c *Cache) accessMoveToFront(lineAddr uint64) (hit bool, victim uint64, evicted bool) {
 	set := c.set(lineAddr)
 	tag := lineAddr + 1
 	for i, t := range set {
@@ -546,7 +430,7 @@ func (h *Hierarchy) DirProbes() uint64 { return h.dirProbes }
 // all: a read that hits the most-recently-used way of the core's L1D set.
 // When it returns true the access has been fully performed — hit and
 // served counters advanced, recency unchanged (the line already holds the
-// MRU rank), no directory state touched (AccessData's read path skips the
+// MRU slot), no directory state touched (AccessData's read path skips the
 // directory for every private hit anyway) — and the caller charges
 // L1D.HitLatency. On false, nothing was touched and the caller must take
 // the full AccessData path. Flat enough for the compiler to inline into
@@ -556,7 +440,7 @@ func (h *Hierarchy) LoadMRU(core int, addr uint64) bool {
 	c := h.l1d[core]
 	line := addr >> h.lineShift
 	set := line & c.setMask
-	if c.tags[int(set)*c.ways+c.mru(set)] != line+1 {
+	if c.tags[int(set)*c.ways] != line+1 {
 		return false
 	}
 	c.hits++
@@ -575,7 +459,7 @@ func (h *Hierarchy) StoreMRU(core int, addr uint64) bool {
 	c := h.l1d[core]
 	line := addr >> h.lineShift
 	set := line & c.setMask
-	if c.tags[int(set)*c.ways+c.mru(set)] != line+1 {
+	if c.tags[int(set)*c.ways] != line+1 {
 		return false
 	}
 	if line >= h.privMax || h.priv[h.privIndex(line, core)] != privPack(line, core)|privDirty {
@@ -595,7 +479,7 @@ func (h *Hierarchy) InstrMRU(core int, pc uint64) bool {
 	c := h.l1i[core]
 	line := pc >> h.lineShift
 	set := line & c.setMask
-	if c.tags[int(set)*c.ways+c.mru(set)] != line+1 {
+	if c.tags[int(set)*c.ways] != line+1 {
 		return false
 	}
 	c.hits++

@@ -1,80 +1,11 @@
 package cache
 
-// Differential tests for the packed-rank-word LRU against the
-// move-to-front reference implementation. The two layouts
-// must agree access for access — hit/miss, victim identity, eviction
-// flag, counters, membership — for every associativity the rank packing
-// supports, including under invalidations (which leave an empty slot
-// occupying its recency position in both layouts).
-
 import (
 	"testing"
 
 	"rppm/internal/arch"
 	"rppm/internal/prng"
 )
-
-// packedCache builds a cache forced onto the packed rank-word layout,
-// regardless of the packedLRU build default. Forcing is only legal on a
-// fresh cache — flipping a layout mid-stream would desync order from tags.
-func packedCache(cfg arch.CacheConfig) *Cache {
-	c := New(cfg)
-	if c.order == nil {
-		c.initPackedOrder()
-	}
-	return c
-}
-
-// refCache builds the move-to-front reference: the same configuration with
-// the rank words discarded, which sends every Access down
-// accessMoveToFront.
-func refCache(cfg arch.CacheConfig) *Cache {
-	c := New(cfg)
-	c.order = nil
-	return c
-}
-
-func TestPackedLRUMatchesMoveToFront(t *testing.T) {
-	for _, assoc := range []int{1, 2, 3, 4, 8, 15, 16} {
-		cfg := arch.CacheConfig{
-			SizeBytes:  8 * 64 * assoc, // 8 sets
-			Assoc:      assoc,
-			LineBytes:  64,
-			HitLatency: 1,
-		}
-		packed, ref := packedCache(cfg), refCache(cfg)
-		r := prng.New(uint64(assoc))
-		// Footprint ~3x capacity: plenty of hits at every rank, plenty of
-		// conflict evictions.
-		lines := uint64(3 * 8 * assoc)
-		for i := 0; i < 20000; i++ {
-			line := r.Uint64n(lines)
-			if r.Intn(16) == 0 {
-				gotInv := packed.Invalidate(line)
-				wantInv := ref.Invalidate(line)
-				if gotInv != wantInv {
-					t.Fatalf("assoc %d op %d: Invalidate(%d) = %v, ref %v",
-						assoc, i, line, gotInv, wantInv)
-				}
-				continue
-			}
-			hit, victim, evicted := packed.Access(line)
-			rHit, rVictim, rEvicted := ref.Access(line)
-			if hit != rHit || victim != rVictim || evicted != rEvicted {
-				t.Fatalf("assoc %d op %d: Access(%d) = (%v,%d,%v), ref (%v,%d,%v)",
-					assoc, i, line, hit, victim, evicted, rHit, rVictim, rEvicted)
-			}
-			if c := r.Uint64n(lines); packed.Contains(c) != ref.Contains(c) {
-				t.Fatalf("assoc %d op %d: Contains(%d) disagrees", assoc, i, c)
-			}
-		}
-		h1, m1 := packed.Stats()
-		h2, m2 := ref.Stats()
-		if h1 != h2 || m1 != m2 {
-			t.Fatalf("assoc %d: stats (%d,%d), ref (%d,%d)", assoc, h1, m1, h2, m2)
-		}
-	}
-}
 
 // TestMRUFastPathMatchesAccess drives two mirrored hierarchies with the
 // same access stream; one routes loads and fetches through the
@@ -83,26 +14,13 @@ func TestPackedLRUMatchesMoveToFront(t *testing.T) {
 // path. Latencies, serving levels, counters and coherence behavior must
 // be identical — the fast path is a pure shortcut.
 func TestMRUFastPathMatchesAccess(t *testing.T) {
-	for _, layout := range []string{"default", "packed"} {
-		t.Run(layout, func(t *testing.T) { testMRUFastPath(t, layout == "packed") })
-	}
+	t.Run("default", testMRUFastPath)
 }
 
-func testMRUFastPath(t *testing.T, forcePacked bool) {
+func testMRUFastPath(t *testing.T) {
 	cfg := arch.Base()
 	fast := NewHierarchy(cfg)
 	ref := NewHierarchy(cfg)
-	if forcePacked {
-		for _, h := range []*Hierarchy{fast, ref} {
-			for _, cs := range [][]*Cache{h.l1i, h.l1d, h.l2, {h.llc}} {
-				for _, c := range cs {
-					if c.order == nil {
-						c.initPackedOrder()
-					}
-				}
-			}
-		}
-	}
 	r := prng.New(99)
 	// Mix of private and shared lines across cores, reads and writes and
 	// instruction fetches, with enough reuse for the MRU path to fire often.

@@ -94,15 +94,13 @@ type SessionOptions struct {
 	StoreRecorded func(context.Context, Key, *trace.Recorded)
 
 	// LoadProfile, when non-nil, is consulted on a profile cache miss
-	// before paying the profiling pass, and again when promoting a
-	// demoted (compact) entry back to the full tier — the serving layer's
-	// profile reload hook (artifact format v2, internal/profilefmt). Only
-	// a full profile may be returned; compact files cannot seed the cache
-	// because predictions consume the sampled windows they drop. A
-	// successful load counts in Stats.Profiles.Loads, and no EventProfile
-	// is emitted: the profiler did not run. The loaded profile must drive
-	// bit-identical predictions to a fresh profiling pass (guaranteed by
-	// the profile format's differential round-trip test).
+	// (including the miss after an eviction) before paying the profiling
+	// pass — the serving layer's profile reload hook (artifact format v2,
+	// internal/profilefmt). A successful load counts in
+	// Stats.Profiles.Loads, and no EventProfile is emitted: the profiler
+	// did not run. The loaded profile must drive bit-identical
+	// predictions to a fresh profiling pass (guaranteed by the profile
+	// format's differential round-trip test).
 	LoadProfile func(context.Context, ProfileKey) (*profiler.Profile, bool)
 
 	// StoreProfile, when non-nil, receives every freshly collected
@@ -139,29 +137,25 @@ type Stats struct {
 	BytesResident int64  // accounted bytes of completed cache entries
 	Entries       int    // live cache entries, including in-flight ones
 
-	// Profiles breaks down the two-tier profile cache.
-	Profiles ProfileTierStats
+	// Profiles breaks down how profile requests were served.
+	Profiles ProfileStats
 }
 
-// ProfileTierStats describe the session's two-tier profile cache. The
-// full tier holds complete profiles (sampled windows included — what
-// predictions consume); the compact tier holds profiles demoted under
-// eviction pressure to their per-thread aggregate form, roughly an order
-// of magnitude smaller. A profile request that lands on a compact entry
-// promotes it back to full — by re-reading the persisted profile when a
-// LoadProfile hook is wired, else by re-profiling.
-type ProfileTierStats struct {
-	Runs        uint64 // profiling passes executed (the expensive path)
-	Loads       uint64 // full profiles loaded via LoadProfile instead of profiled
-	FullHits    uint64 // profile requests served by a resident full entry
-	CompactHits uint64 // profile requests that landed on a demoted entry
-	Demotions   uint64 // full entries compacted in place under eviction pressure
-	Promotions  uint64 // compact entries restored to the full tier
+// ProfileStats count how the session's profile requests were served: a
+// resident entry, a reload through LoadProfile, or a profiling pass. An
+// evicted profile is a plain miss, served by the reload when the hook is
+// wired and by re-profiling otherwise.
+type ProfileStats struct {
+	Runs  uint64 // profiling passes executed (the expensive path)
+	Loads uint64 // profiles loaded via LoadProfile instead of profiled
+	Hits  uint64 // profile requests served by a resident or in-flight entry
 
-	FullBytes      int64 // accounted bytes of resident full profiles
-	CompactBytes   int64 // accounted bytes of resident compact profiles
-	FullEntries    int
-	CompactEntries int
+	// CompactHits is always zero. It is kept only because the repository
+	// benchmark (perfbench) reads it.
+	CompactHits uint64
+	// Promotions is always zero. It is kept only because the repository
+	// benchmark (perfbench) reads it.
+	Promotions uint64
 }
 
 // Session is a shared profile/simulation/prediction cache on top of an
@@ -185,7 +179,7 @@ type Session struct {
 	bytes   int64      // accounted size of completed entries
 
 	hits, misses, coalesced, evictions, traceLoads uint64
-	profStats                                      ProfileTierStats
+	profStats                                      ProfileStats
 
 	// batchScratch pools simulateBatch's per-group result-assembly
 	// buffers (the claim list and the batch config slice) across a
@@ -230,7 +224,7 @@ func (s *Session) Stats() Stats {
 // artifact it is, which workload key it belongs to, how many bytes it
 // accounts for, and whether an in-flight request currently pins it.
 type CacheEntryInfo struct {
-	Kind   string  `json:"kind"` // program | trace | profile-full | profile-compact | simulation | prediction
+	Kind   string  `json:"kind"` // program | trace | profile | simulation | prediction
 	Bench  string  `json:"bench"`
 	Seed   uint64  `json:"seed"`
 	Scale  float64 `json:"scale"`
@@ -265,10 +259,7 @@ func (s *Session) Snapshot() []CacheEntryInfo {
 			info.Kind = "trace"
 			info.Bench, info.Seed, info.Scale = key.Bench, key.Seed, key.Scale
 		case ProfileKey:
-			info.Kind = "profile-full"
-			if p, ok := en.val.(*profiler.Profile); ok && p.Compact {
-				info.Kind = "profile-compact"
-			}
+			info.Kind = "profile"
 			info.Bench, info.Seed, info.Scale = key.Bench, key.Seed, key.Scale
 		case simKey:
 			info.Kind = "simulation"
@@ -371,7 +362,6 @@ func (s *Session) get(ctx context.Context, k any, fn func(context.Context) (any,
 			en.complete = true
 			en.size = entrySize(en.val)
 			s.bytes += en.size
-			s.accountProfileLocked(en.val, en.size, +1)
 			s.evictLocked()
 			s.mu.Unlock()
 			close(en.done)
@@ -429,35 +419,9 @@ func (s *Session) release(en *entry) {
 	s.mu.Unlock()
 }
 
-// accountProfileLocked maintains the per-tier byte/entry counters when a
-// completed profile entry enters (dir = +1) or leaves (dir = -1) the
-// accounted cache, or swaps tiers (one call per side). Non-profile values
-// are ignored.
-func (s *Session) accountProfileLocked(v any, size int64, dir int64) {
-	p, ok := v.(*profiler.Profile)
-	if !ok {
-		return
-	}
-	if p.Compact {
-		s.profStats.CompactBytes += dir * size
-		s.profStats.CompactEntries += int(dir)
-	} else {
-		s.profStats.FullBytes += dir * size
-		s.profStats.FullEntries += int(dir)
-	}
-}
-
 // evictLocked evicts least-recently-used unpinned entries until the
 // resident total fits the budget. Pinned entries are never in the LRU list,
 // so an entry an in-flight request holds is structurally unevictable.
-//
-// A full profile selected as the victim is not dropped: it is demoted in
-// place to its compact aggregate form (per-thread merged epochs, sampled
-// windows gone — typically ~10× smaller) and given a fresh recency, so
-// under pressure the cache keeps many workloads' aggregates warm instead
-// of a few workloads' everything. A compact entry selected as the victim
-// is evicted normally; each full entry can be demoted at most once, so
-// the loop always terminates.
 func (s *Session) evictLocked() {
 	if s.opts.MaxBytes <= 0 {
 		return
@@ -468,26 +432,11 @@ func (s *Session) evictLocked() {
 			return
 		}
 		en := back.Value.(*entry)
-		if p, ok := en.val.(*profiler.Profile); ok && !p.Compact {
-			cp := p.CompactCopy()
-			if sz := entrySize(cp); sz < en.size {
-				s.accountProfileLocked(p, en.size, -1)
-				s.bytes += sz - en.size
-				en.val, en.size = cp, sz
-				s.accountProfileLocked(cp, sz, +1)
-				s.profStats.Demotions++
-				s.lru.MoveToFront(back)
-				continue
-			}
-			// Degenerate case: the compact form is no smaller (e.g. a
-			// windowless single-epoch profile). Evict outright below.
-		}
 		s.lru.Remove(back)
 		en.elem = nil
 		en.evicted = true
 		delete(s.entries, en.key)
 		s.bytes -= en.size
-		s.accountProfileLocked(en.val, en.size, -1)
 		s.evictions++
 	}
 }
@@ -683,20 +632,11 @@ func (s *Session) ProfileOpts(ctx context.Context, bm workload.Benchmark, seed u
 
 // profilePinned is ProfileOpts with the cache entry pinned for the caller.
 // The recorded trace stays pinned while the profiler replays it.
-//
-// The returned profile is always a full (prediction-capable) one. When the
-// cache hit lands on an entry demoted to the compact tier, the entry is
-// promoted back before returning: the full profile is re-obtained — from
-// the LoadProfile hook when wired (a disk re-read, orders of magnitude
-// cheaper than profiling), else by re-running the profiler — and swapped
-// into the entry. The entry stays pinned throughout, so eviction pressure
-// cannot remove it mid-promotion; concurrent promoters race benignly (the
-// first swap wins, later ones adopt it).
 func (s *Session) profilePinned(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, opts profiler.Options) (*profiler.Profile, func(), error) {
 	pk := ProfileKey{Key{bm.Name, seed, scale}, opts}
 	ctx, sp := obs.StartSpan(ctx, "profile")
 	computed := false
-	en, err := s.get(ctx, pk, func(ctx context.Context) (any, error) {
+	v, unpin, err := s.pinned(ctx, pk, func(ctx context.Context) (any, error) {
 		computed = true
 		return s.profileValue(ctx, bm, seed, scale, opts, pk)
 	})
@@ -704,59 +644,17 @@ func (s *Session) profilePinned(ctx context.Context, bm workload.Benchmark, seed
 		sp.End()
 		return nil, nil, err
 	}
-	if en.err != nil {
-		s.release(en)
-		sp.End()
-		return nil, nil, en.err
+	if !computed {
+		s.mu.Lock()
+		s.profStats.Hits++
+		s.mu.Unlock()
 	}
-	prof := en.val.(*profiler.Profile)
-	if !prof.Compact {
-		if !computed {
-			s.mu.Lock()
-			s.profStats.FullHits++
-			s.mu.Unlock()
-		}
-		sp.Annotate("tier", "full")
-		endStageSpan(sp, computed, prof)
-		return prof, func() { s.release(en) }, nil
-	}
-
-	s.mu.Lock()
-	s.profStats.CompactHits++
-	s.mu.Unlock()
-	sp.Annotate("tier", "compact")
-	sp.Annotate("promotion", "true")
-	v, err := s.profileValue(ctx, bm, seed, scale, opts, pk)
-	if err != nil {
-		s.release(en)
-		sp.End()
-		return nil, nil, err
-	}
-	full := v.(*profiler.Profile)
-	s.mu.Lock()
-	cur := en.val.(*profiler.Profile)
-	if cur.Compact {
-		if !en.evicted {
-			sz := entrySize(full)
-			s.accountProfileLocked(cur, en.size, -1)
-			s.bytes += sz - en.size
-			en.size = sz
-			s.accountProfileLocked(full, sz, +1)
-		}
-		en.val = full
-		s.profStats.Promotions++
-		s.evictLocked()
-	} else {
-		full = cur // a concurrent promoter already swapped the full profile in
-	}
-	s.mu.Unlock()
-	endStageSpan(sp, computed, full)
-	return full, func() { s.release(en) }, nil
+	endStageSpan(sp, computed, v)
+	return v.(*profiler.Profile), unpin, nil
 }
 
-// profileValue obtains a full profile for pk: the persistence hook first,
-// then the profiling pass over the recorded trace. Shared by the cache-miss
-// path and compact-entry promotion.
+// profileValue obtains the profile for pk on a cache miss: the persistence
+// hook first, then the profiling pass over the recorded trace.
 func (s *Session) profileValue(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, opts profiler.Options, pk ProfileKey) (any, error) {
 	if s.opts.LoadProfile != nil {
 		// The reload runs under an engine slot like any other artifact
@@ -770,7 +668,7 @@ func (s *Session) profileValue(ctx context.Context, bm workload.Benchmark, seed 
 			defer s.eng.release()
 			return s.opts.LoadProfile(ctx, pk)
 		}()
-		if ok && !prof.Compact {
+		if ok {
 			s.mu.Lock()
 			s.profStats.Loads++
 			s.mu.Unlock()

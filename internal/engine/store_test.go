@@ -25,7 +25,7 @@ func put(t *testing.T, s *Session, key string, size int64) *entry {
 	return en
 }
 
-func has(s *Session, key string) bool {
+func has(s *Session, key any) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.entries[key]

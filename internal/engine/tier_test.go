@@ -75,7 +75,7 @@ func TestProfilePersistenceHooks(t *testing.T) {
 		t.Fatalf("first session profiled %d times, want 1", n)
 	}
 	if st := s1.Stats(); st.Profiles.Runs != 1 || st.Profiles.Loads != 0 {
-		t.Fatalf("first session tier stats: %+v", st.Profiles)
+		t.Fatalf("first session profile stats: %+v", st.Profiles)
 	}
 	if len(store.files) != 1 {
 		t.Fatalf("StoreProfile saw %d profiles, want 1", len(store.files))
@@ -107,37 +107,28 @@ func TestProfilePersistenceHooks(t *testing.T) {
 	if st.Profiles.Loads != 1 {
 		t.Errorf("Profiles.Loads = %d, want 1", st.Profiles.Loads)
 	}
-	if st.Profiles.FullEntries != 1 || st.Profiles.FullBytes <= 0 {
-		t.Errorf("full tier not accounted: %+v", st.Profiles)
-	}
 
-	// Warm repeat: a full-tier hit, no further load.
+	// Warm repeat: a resident hit, no further load.
 	if _, err := s2.Predict(ctx, bm, testSeed, testScale, target); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Profile(ctx, bm, testSeed, testScale); err != nil {
 		t.Fatal(err)
 	}
-	if st := s2.Stats(); st.Profiles.Loads != 1 || st.Profiles.FullHits == 0 {
-		t.Errorf("warm repeat tier stats: %+v", st.Profiles)
+	if st := s2.Stats(); st.Profiles.Loads != 1 || st.Profiles.Hits == 0 {
+		t.Errorf("warm repeat profile stats: %+v", st.Profiles)
 	}
 }
 
-// TestProfileDemotionAndPromotion drives a budgeted session into eviction
-// pressure, checks the full profile demotes to the compact tier instead of
-// vanishing, and checks the next profile consumer promotes it back —
-// through the persisted profile, not a re-profile — with bit-identical
-// predictions throughout.
-func TestProfileDemotionAndPromotion(t *testing.T) {
+// TestEvictedProfileReloads: under a budget nothing fits in, the profile
+// is evicted as soon as its request releases it, and the next request for
+// it is a plain miss served by LoadProfile — no second profiling pass, and
+// a prediction identical to the first.
+func TestEvictedProfileReloads(t *testing.T) {
 	bm := mustBench(t, "kmeans")
 	ctx := context.Background()
 	target := arch.Base()
 	store := newProfileStore()
-
-	want, err := New(Options{Workers: 2}).NewSession().Predict(ctx, bm, testSeed, testScale, target)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	c := newCounter()
 	s := New(Options{Workers: 2, Progress: c.sink}).NewSessionWith(SessionOptions{
@@ -145,125 +136,96 @@ func TestProfileDemotionAndPromotion(t *testing.T) {
 		LoadProfile:  store.load(t),
 		StoreProfile: store.store(t),
 	})
+	want, err := s.Predict(ctx, bm, testSeed, testScale, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := ProfileKey{Key{bm.Name, testSeed, testScale}, s.eng.opts.Profiler}
+	if has(s, pk) {
+		t.Fatal("profile still resident under a 1-byte budget")
+	}
+	before := s.Stats().Profiles
+	if before.Runs != 1 || before.Loads != 0 {
+		t.Fatalf("first request profile stats: %+v", before)
+	}
+
 	got, err := s.Predict(ctx, bm, testSeed, testScale, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("budgeted prediction diverged from unbounded session")
+		t.Errorf("prediction from reloaded profile diverged:\n got %+v\nwant %+v", got, want)
 	}
-	st := s.Stats()
-	if st.Profiles.Runs != 1 {
-		t.Fatalf("Profiles.Runs = %d, want 1", st.Profiles.Runs)
-	}
-	if st.Profiles.Demotions == 0 {
-		t.Fatalf("no demotion under a 1-byte budget: %+v", st.Profiles)
-	}
-	// Under a 1-byte budget the demoted compact entry is itself evicted
-	// on the next pressure round; what must never happen is a second
-	// profiler run while the persisted profile exists.
-	got2, err := s.Predict(ctx, bm, testSeed, testScale, arch.SweepSpace(2)[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == nil {
-		t.Fatal("nil prediction")
-	}
-	if st := s.Stats(); st.Profiles.Runs != 1 {
-		t.Errorf("profiler re-ran under pressure despite persisted profile: %+v", st.Profiles)
+	after := s.Stats().Profiles
+	if after.Loads != before.Loads+1 || after.Runs != before.Runs {
+		t.Errorf("evicted profile not reloaded: before %+v, after %+v", before, after)
 	}
 	if n := c.get(EventProfile); n != 1 {
 		t.Errorf("EventProfile emitted %d times, want 1", n)
 	}
 }
 
-// TestCompactTierServesPromotion pins the budget so the full profile
-// demotes but the compact entry stays resident, then requests the profile
-// again: the compact hit must be promoted in place (same entry), counted,
-// and yield a full profile.
-func TestCompactTierServesPromotion(t *testing.T) {
+// TestEvictedProfileWithoutHooksReprofiles: with no persistence hooks
+// wired, an evicted profile is collected again — correct, just slower.
+func TestEvictedProfileWithoutHooksReprofiles(t *testing.T) {
 	bm := mustBench(t, "kmeans")
 	ctx := context.Background()
-	store := newProfileStore()
-
-	// First, learn the sizes involved with an unbounded probe session.
-	probe := New(Options{Workers: 2}).NewSessionWith(SessionOptions{StoreProfile: store.store(t)})
-	full, err := probe.Profile(ctx, bm, testSeed, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compactSize := entrySize(full.CompactCopy())
-
-	// Budget: fits the compact profile (plus slack for the failure-free
-	// entries around it) but not the full one.
-	c := newCounter()
-	s := New(Options{Workers: 2, Progress: c.sink}).NewSessionWith(SessionOptions{
-		MaxBytes:    compactSize + entrySize(nil)*4,
-		LoadProfile: store.load(t),
-	})
-	if _, err := s.Profile(ctx, bm, testSeed, testScale); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Profiles.Demotions != 1 || st.Profiles.CompactEntries != 1 || st.Profiles.FullEntries != 0 {
-		t.Fatalf("after release, want exactly one compact resident entry: %+v", st.Profiles)
-	}
-	if st.Profiles.CompactBytes != compactSize {
-		t.Errorf("compact tier bytes %d, want %d", st.Profiles.CompactBytes, compactSize)
-	}
-
-	p, err := s.Profile(ctx, bm, testSeed, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Compact {
-		t.Fatal("Profile returned a compact profile")
-	}
-	st = s.Stats()
-	if st.Profiles.CompactHits != 1 || st.Profiles.Promotions != 1 {
-		t.Errorf("promotion not counted: %+v", st.Profiles)
-	}
-	// Both the initial miss and the promotion were served by the
-	// persisted profile: the profiler never ran in this session.
-	if st.Profiles.Runs != 0 || st.Profiles.Loads != 2 {
-		t.Errorf("promotion should re-read, not re-profile: %+v", st.Profiles)
-	}
-	if n := c.get(EventProfile); n != 0 {
-		t.Errorf("EventProfile emitted %d times, want 0", n)
-	}
-}
-
-// TestPromotionWithoutHooksReprofiles: with no persistence hooks wired, a
-// compact hit falls back to re-running the profiler — correct, just slower.
-func TestPromotionWithoutHooksReprofiles(t *testing.T) {
-	bm := mustBench(t, "kmeans")
-	ctx := context.Background()
-
-	probe := New(Options{Workers: 2}).NewSession()
-	full, err := probe.Profile(ctx, bm, testSeed, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := arch.Base()
 
 	c := newCounter()
-	s := New(Options{Workers: 2, Progress: c.sink}).NewSessionWith(SessionOptions{
-		MaxBytes: entrySize(full.CompactCopy()) + entrySize(nil)*4,
-	})
-	if _, err := s.Profile(ctx, bm, testSeed, testScale); err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Profile(ctx, bm, testSeed, testScale)
+	s := New(Options{Workers: 2, Progress: c.sink}).NewSessionWith(SessionOptions{MaxBytes: 1})
+	want, err := s.Predict(ctx, bm, testSeed, testScale, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Compact {
-		t.Fatal("Profile returned a compact profile")
+	got, err := s.Predict(ctx, bm, testSeed, testScale, target)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Profiles.Runs != 2 || st.Profiles.Promotions != 1 {
-		t.Errorf("hookless promotion stats: %+v", st.Profiles)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("prediction from re-collected profile diverged")
+	}
+	if st := s.Stats().Profiles; st.Runs != 2 || st.Loads != 0 || st.Hits != 0 {
+		t.Errorf("hookless re-profile stats: %+v", st)
 	}
 	if n := c.get(EventProfile); n != 2 {
 		t.Errorf("EventProfile emitted %d times, want 2", n)
+	}
+}
+
+// TestPinnedProfileSurvivesEviction: a profile an in-flight request holds
+// stays resident under any pressure, and a concurrent request for it is a
+// hit on the same value. Once released it is evicted like any other entry.
+func TestPinnedProfileSurvivesEviction(t *testing.T) {
+	bm := mustBench(t, "kmeans")
+	ctx := context.Background()
+
+	s := New(Options{Workers: 2}).NewSessionWith(SessionOptions{MaxBytes: 1})
+	opts := s.eng.opts.Profiler
+	held, unpin, err := s.profilePinned(ctx, bm, testSeed, testScale, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := ProfileKey{Key{bm.Name, testSeed, testScale}, opts}
+	for _, key := range []string{"x", "y", "z"} {
+		s.release(put(t, s, key, 1<<20))
+		if !has(s, pk) {
+			t.Fatalf("pinned profile evicted after inserting %q", key)
+		}
+	}
+	p, err := s.Profile(ctx, bm, testSeed, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != held {
+		t.Error("request during the pin did not get the resident profile")
+	}
+	if st := s.Stats().Profiles; st.Runs != 1 || st.Hits != 1 {
+		t.Errorf("profile stats while pinned: %+v", st)
+	}
+
+	unpin()
+	if has(s, pk) {
+		t.Error("released profile not evicted under a 1-byte budget")
 	}
 }

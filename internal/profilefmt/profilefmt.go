@@ -17,7 +17,7 @@
 //
 //	[8]byte  magic "RPPMPROF"
 //	uint32   format version (currently 2)
-//	uint32   flags (bit 0: compact tier — sampled windows absent)
+//	uint32   flags (reserved, must be 0)
 //	body     varint-coded profile payload (see below)
 //	uint32   IEEE CRC-32 over everything above
 //
@@ -40,7 +40,7 @@
 //	      if linear present: sparse pairs — uvarint nonzero count, then per
 //	        entry (ascending index): uvarint index gap, uvarint bucket count
 //	      log buckets: uvarint array length, then sparse pairs as above
-//	    sampled windows (full tier only): uvarint window count, per window:
+//	    sampled windows: uvarint window count, per window:
 //	      uvarint length; Classes as raw bytes; Dep1 then Dep2 as zigzag
 //	      varints; GlobalRD as uvarints under the mapping -1→0, Infinite→1,
 //	      v→v+2; IsLoad as a packed LSB-first bitset. Every class is
@@ -85,8 +85,6 @@ const (
 
 	fileMagic = "RPPMPROF"
 
-	flagCompact = 1 << 0
-
 	// Bounds on header-adjacent fields, mirroring the trace reader's
 	// hardening: a corrupt or adversarial field cannot drive allocations.
 	maxFileName    = 1 << 12
@@ -98,7 +96,6 @@ const (
 // Header summarizes a profile file without decoding its payload.
 type Header struct {
 	Version    uint32
-	Compact    bool
 	Name       string
 	Opts       profiler.Options
 	NumThreads int
@@ -113,11 +110,7 @@ func Encode(p *profiler.Profile, opts profiler.Options) ([]byte, error) {
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, fileMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FileVersion)
-	var flags uint32
-	if p.Compact {
-		flags |= flagCompact
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags
 
 	buf = binary.AppendUvarint(buf, uint64(len(p.Name)))
 	buf = append(buf, p.Name...)
@@ -135,7 +128,7 @@ func Encode(p *profiler.Profile, opts profiler.Options) ([]byte, error) {
 	for _, t := range p.Threads {
 		buf = binary.AppendUvarint(buf, uint64(len(t.Epochs)))
 		for _, e := range t.Epochs {
-			if buf, err = appendEpoch(buf, e, p.Compact); err != nil {
+			if buf, err = appendEpoch(buf, e); err != nil {
 				return nil, err
 			}
 		}
@@ -150,7 +143,7 @@ func Encode(p *profiler.Profile, opts profiler.Options) ([]byte, error) {
 	return buf, nil
 }
 
-func appendEpoch(buf []byte, e *profiler.Epoch, compact bool) ([]byte, error) {
+func appendEpoch(buf []byte, e *profiler.Epoch) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, e.Instr)
 	for _, n := range e.Mix {
 		buf = binary.AppendUvarint(buf, n)
@@ -172,12 +165,6 @@ func appendEpoch(buf []byte, e *profiler.Epoch, compact bool) ([]byte, error) {
 		buf = appendHistogram(buf, h)
 	}
 
-	if compact {
-		if len(e.Windows) != 0 {
-			return nil, fmt.Errorf("profilefmt: compact profile carries %d sampled windows", len(e.Windows))
-		}
-		return buf, nil
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(e.Windows)))
 	for i := range e.Windows {
 		var err error
@@ -305,25 +292,28 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// checkEnvelope validates magic, version and the trailing checksum, and
-// returns the flags word and the body payload between header and checksum.
-func checkEnvelope(data []byte) (flags uint32, body []byte, err error) {
+// checkEnvelope validates magic, version, the trailing checksum and the
+// reserved (zero) flags word, and returns the body payload between header
+// and checksum.
+func checkEnvelope(data []byte) (body []byte, err error) {
 	const headerLen = 8 + 4 + 4
 	if len(data) < headerLen+4 {
-		return 0, nil, fmt.Errorf("profilefmt: file truncated (%d bytes)", len(data))
+		return nil, fmt.Errorf("profilefmt: file truncated (%d bytes)", len(data))
 	}
 	if string(data[:8]) != fileMagic {
-		return 0, nil, fmt.Errorf("profilefmt: bad magic %q (not a profile file)", data[:8])
+		return nil, fmt.Errorf("profilefmt: bad magic %q (not a profile file)", data[:8])
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != FileVersion {
-		return 0, nil, fmt.Errorf("profilefmt: unsupported format version %d (have %d)", v, FileVersion)
+		return nil, fmt.Errorf("profilefmt: unsupported format version %d (have %d)", v, FileVersion)
 	}
-	flags = binary.LittleEndian.Uint32(data[12:16])
 	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != sum {
-		return 0, nil, fmt.Errorf("profilefmt: checksum mismatch (file %08x, computed %08x)", sum, got)
+		return nil, fmt.Errorf("profilefmt: checksum mismatch (file %08x, computed %08x)", sum, got)
 	}
-	return flags, data[headerLen : len(data)-4], nil
+	if flags := binary.LittleEndian.Uint32(data[12:16]); flags != 0 {
+		return nil, fmt.Errorf("profilefmt: reserved flags word is %#x, want 0", flags)
+	}
+	return data[headerLen : len(data)-4], nil
 }
 
 // decoder consumes the checksummed body payload.
@@ -433,12 +423,11 @@ func decodeHeaderFields(d *decoder, h *Header) error {
 // returns the file's summary header without decoding epochs.
 func DecodeHeader(data []byte) (Header, error) {
 	var h Header
-	flags, body, err := checkEnvelope(data)
+	body, err := checkEnvelope(data)
 	if err != nil {
 		return h, err
 	}
 	h.Version = FileVersion
-	h.Compact = flags&flagCompact != 0
 	d := &decoder{buf: body}
 	if err := decodeHeaderFields(d, &h); err != nil {
 		return h, err
@@ -451,19 +440,17 @@ func DecodeHeader(data []byte) (Header, error) {
 // returned profile drives bit-identical predictions to the one written.
 func Decode(data []byte) (*profiler.Profile, profiler.Options, error) {
 	var h Header
-	flags, body, err := checkEnvelope(data)
+	body, err := checkEnvelope(data)
 	if err != nil {
 		return nil, profiler.Options{}, err
 	}
-	compact := flags&flagCompact != 0
 	d := &decoder{buf: body}
 	if err := decodeHeaderFields(d, &h); err != nil {
 		return nil, profiler.Options{}, err
 	}
-	p := &profiler.Profile{Name: h.Name, NumThreads: h.NumThreads, Compact: compact}
+	p := &profiler.Profile{Name: h.Name, NumThreads: h.NumThreads}
 	for ti := 0; ti < h.NumThreads; ti++ {
-		t := &threadDecoder{d: d, compact: compact}
-		tp, err := t.thread(ti)
+		tp, err := d.thread(ti)
 		if err != nil {
 			return nil, profiler.Options{}, err
 		}
@@ -475,21 +462,15 @@ func Decode(data []byte) (*profiler.Profile, profiler.Options, error) {
 	return p, h.Opts, nil
 }
 
-// threadDecoder decodes one thread's profile out of the shared payload.
-type threadDecoder struct {
-	d       *decoder
-	compact bool
-}
-
-func (t *threadDecoder) thread(ti int) (*profiler.ThreadProfile, error) {
-	d := t.d
+// thread decodes one thread's profile out of the shared payload.
+func (d *decoder) thread(ti int) (*profiler.ThreadProfile, error) {
 	nEpochs, err := d.count(1, "epoch")
 	if err != nil {
 		return nil, err
 	}
 	tp := &profiler.ThreadProfile{}
 	for i := 0; i < nEpochs; i++ {
-		e, err := t.epoch(ti, i)
+		e, err := d.epoch(ti, i)
 		if err != nil {
 			return nil, err
 		}
@@ -520,8 +501,7 @@ func (t *threadDecoder) thread(ti int) (*profiler.ThreadProfile, error) {
 	return tp, nil
 }
 
-func (t *threadDecoder) epoch(ti, ei int) (*profiler.Epoch, error) {
-	d := t.d
+func (d *decoder) epoch(ti, ei int) (*profiler.Epoch, error) {
 	e := &profiler.Epoch{}
 	var err error
 	if e.Instr, err = d.uvarint("epoch instrs"); err != nil {
@@ -577,22 +557,19 @@ func (t *threadDecoder) epoch(ti, ei int) (*profiler.Epoch, error) {
 
 	hists := [3]**stats.Histogram{&e.PrivateRD, &e.GlobalRD, &e.InstrRD}
 	for _, hp := range hists {
-		h, err := t.histogram()
+		h, err := d.histogram()
 		if err != nil {
 			return nil, err
 		}
 		*hp = h
 	}
 
-	if t.compact {
-		return e, nil
-	}
 	nWindows, err := d.count(1, "window")
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < nWindows; i++ {
-		w, err := t.window()
+		w, err := d.window()
 		if err != nil {
 			return nil, err
 		}
@@ -601,8 +578,7 @@ func (t *threadDecoder) epoch(ti, ei int) (*profiler.Epoch, error) {
 	return e, nil
 }
 
-func (t *threadDecoder) histogram() (*stats.Histogram, error) {
-	d := t.d
+func (d *decoder) histogram() (*stats.Histogram, error) {
 	flags, err := d.byte("histogram flags")
 	if err != nil {
 		return nil, err
@@ -627,7 +603,7 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	st.Max = int64(max)
 	if flags&1 != 0 {
 		st.Linear = make([]uint64, stats.LinearLen)
-		if err := t.sparse(st.Linear, "linear bucket"); err != nil {
+		if err := d.sparse(st.Linear, "linear bucket"); err != nil {
 			return nil, err
 		}
 	}
@@ -641,7 +617,7 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	if logLen > 0 {
 		st.Log = make([]uint64, logLen)
 	}
-	if err := t.sparse(st.Log, "log bucket"); err != nil {
+	if err := d.sparse(st.Log, "log bucket"); err != nil {
 		return nil, err
 	}
 	h := stats.NewHistogram()
@@ -651,8 +627,7 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	return h, nil
 }
 
-func (t *threadDecoder) sparse(counts []uint64, what string) error {
-	d := t.d
+func (d *decoder) sparse(counts []uint64, what string) error {
 	nnz, err := d.count(2, what)
 	if err != nil {
 		return err
@@ -677,8 +652,7 @@ func (t *threadDecoder) sparse(counts []uint64, what string) error {
 	return nil
 }
 
-func (t *threadDecoder) window() (profiler.Window, error) {
-	d := t.d
+func (d *decoder) window() (profiler.Window, error) {
 	var w profiler.Window
 	n, err := d.uvarint("window length")
 	if err != nil {

@@ -56,9 +56,6 @@ func TestRoundTripBitIdenticalPrediction(t *testing.T) {
 	if decOpts != opts {
 		t.Fatalf("options round-trip: got %+v want %+v", decOpts, opts)
 	}
-	if dec.Compact {
-		t.Fatal("full profile decoded as compact")
-	}
 	cfgs := append(arch.SweepSpace(4), arch.Base())
 	for _, cfg := range cfgs {
 		want, err := core.Predict(orig, cfg)
@@ -152,41 +149,31 @@ func TestRoundTripStructure(t *testing.T) {
 	}
 }
 
-// TestCompactRoundTrip: the compact (demoted) form serializes with the tier
-// flag, drops windows, and keeps aggregates intact.
-func TestCompactRoundTrip(t *testing.T) {
-	opts := profiler.Options{}
-	full := profileBench(t, "srad", 2, 0.05, opts)
-	compact := full.CompactCopy()
-	if !compact.Compact {
-		t.Fatal("CompactCopy not marked compact")
-	}
-	if compact.TotalInstr() != full.TotalInstr() {
-		t.Fatalf("compact TotalInstr %d vs %d", compact.TotalInstr(), full.TotalInstr())
-	}
-	cs, b, cv := full.SyncCounts()
-	ccs, cb, ccv := compact.SyncCounts()
-	if cs != ccs || b != cb || cv != ccv {
-		t.Fatal("compact copy changed sync counts")
-	}
-	if compact.SizeBytes() >= full.SizeBytes() {
-		t.Fatalf("compact copy (%d B) not smaller than full (%d B)", compact.SizeBytes(), full.SizeBytes())
-	}
+// withFlags returns a copy of the encoded profile with its flags word set
+// to flags and the checksum recomputed, so only the flags check can reject
+// it.
+func withFlags(data []byte, flags uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[12:16], flags)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
 
-	dec, _, _ := encodeDecode(t, compact, opts)
-	if !dec.Compact {
-		t.Fatal("compact flag lost in round trip")
+// TestNonzeroFlagsRejected: the flags word is reserved and must be 0. A
+// file with a flag bit set fails to decode even with a valid checksum.
+func TestNonzeroFlagsRejected(t *testing.T) {
+	opts := profiler.Options{}
+	data, err := Encode(profileBench(t, "srad", 2, 0.05, opts), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dec.TotalInstr() != compact.TotalInstr() {
-		t.Fatal("compact round trip changed instruction count")
-	}
-	for ti := range compact.Threads {
-		if len(dec.Threads[ti].Epochs) != 1 || len(dec.Threads[ti].Epochs[0].Windows) != 0 {
-			t.Fatalf("thread %d: compact profile has unexpected shape", ti)
+	for _, flags := range []uint32{1 << 0, 1 << 5} {
+		bad := withFlags(data, flags)
+		if _, _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "reserved flags") {
+			t.Errorf("flags %#x: Decode error %v, want a reserved-flags error", flags, err)
 		}
-		o, d := compact.Threads[ti].Epochs[0], dec.Threads[ti].Epochs[0]
-		if math.Float64bits(o.PrivateRD.Mean()) != math.Float64bits(d.PrivateRD.Mean()) {
-			t.Fatalf("thread %d: compact aggregate histogram differs", ti)
+		if _, err := DecodeHeader(bad); err == nil || !strings.Contains(err.Error(), "reserved flags") {
+			t.Errorf("flags %#x: DecodeHeader error %v, want a reserved-flags error", flags, err)
 		}
 	}
 }
@@ -202,7 +189,7 @@ func TestHeaderDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Version != FileVersion || h.Compact || h.Name != p.Name ||
+	if h.Version != FileVersion || h.Name != p.Name ||
 		h.Opts != opts || h.NumThreads != p.NumThreads {
 		t.Fatalf("header mismatch: %+v", h)
 	}
@@ -366,7 +353,8 @@ func TestEncodeRejectsUnevaluableWindows(t *testing.T) {
 }
 
 // FuzzDecode: arbitrary bytes must never panic the decoder. Seeds include
-// a valid encoding so the fuzzer mutates from real structure.
+// a valid encoding so the fuzzer mutates from real structure, and a
+// checksummed one with a reserved flag set.
 func FuzzDecode(f *testing.F) {
 	opts := profiler.Options{}
 	p := profileBench(f, "swaptions", 1, 0.02, opts)
@@ -377,11 +365,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:16])
 	f.Add([]byte(fileMagic))
-	compact, err := Encode(p.CompactCopy(), opts)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(compact)
+	f.Add(withFlags(data, 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dec, _, err := Decode(b)
 		if err != nil {

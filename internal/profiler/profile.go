@@ -178,36 +178,6 @@ type Profile struct {
 	Name       string
 	NumThreads int
 	Threads    []*ThreadProfile
-
-	// Compact marks a profile demoted to the aggregate tier: each thread
-	// holds a single merged epoch with the sampled windows dropped, and
-	// the synchronization event stream is retained. A compact profile
-	// still answers the aggregate queries (TotalInstr, SyncCounts,
-	// per-thread miss-rate histograms via Aggregate) but cannot drive a
-	// prediction — the ILP/MLP models consume the per-epoch sampled
-	// windows — so the engine promotes it back to a full profile (disk
-	// re-read, or a re-profile) before predicting.
-	Compact bool
-}
-
-// CompactCopy returns the compact-tier form of p: per thread, every epoch
-// merged into one aggregate epoch with Windows dropped; Events shared with
-// the original. The copy allocates its own histograms and site tables, so
-// it keeps no reference to the full profile's slab-backed storage and the
-// original may be released afterwards.
-func (p *Profile) CompactCopy() *Profile {
-	cp := &Profile{
-		Name:       p.Name,
-		NumThreads: p.NumThreads,
-		Threads:    make([]*ThreadProfile, len(p.Threads)),
-		Compact:    true,
-	}
-	for i, t := range p.Threads {
-		agg := t.Aggregate()
-		agg.Windows = nil
-		cp.Threads[i] = &ThreadProfile{Epochs: []*Epoch{agg}, Events: t.Events}
-	}
-	return cp
 }
 
 // TotalInstr returns the whole program's dynamic instruction count.

@@ -60,7 +60,7 @@ func BenchmarkServePredictCold(b *testing.B) {
 }
 
 // BenchmarkServePredictColdPersisted measures the restart cold path the
-// persisted-profile tier exists for: every iteration runs against a fresh
+// profile persistence exists for: every iteration runs against a fresh
 // server over a pre-populated trace dir, so the first request reloads the
 // profile from disk instead of paying record+profile. The gap to
 // BenchmarkServePredictCold is the amortized profiling pass; the target is

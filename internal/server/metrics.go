@@ -33,17 +33,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("rppm_trace_loads_total", "Recordings reloaded from the trace dir instead of captured.", st.TraceLoads)
 	counter("rppm_profile_runs_total", "Profiling passes executed (the expensive cold path).", st.Profiles.Runs)
 	counter("rppm_profile_loads_total", "Profiles reloaded from the trace dir instead of profiled.", st.Profiles.Loads)
-	counter("rppm_profile_demotions_total", "Full profiles compacted in place under eviction pressure.", st.Profiles.Demotions)
-	counter("rppm_profile_promotions_total", "Compact profiles restored to the full tier.", st.Profiles.Promotions)
-	fmt.Fprintf(&b, "# HELP rppm_profile_tier_hits_total Profile requests served per resident tier.\n# TYPE rppm_profile_tier_hits_total counter\n")
-	fmt.Fprintf(&b, "rppm_profile_tier_hits_total{tier=\"full\"} %d\n", st.Profiles.FullHits)
-	fmt.Fprintf(&b, "rppm_profile_tier_hits_total{tier=\"compact\"} %d\n", st.Profiles.CompactHits)
-	fmt.Fprintf(&b, "# HELP rppm_profile_tier_bytes Accounted bytes of resident profiles per tier.\n# TYPE rppm_profile_tier_bytes gauge\n")
-	fmt.Fprintf(&b, "rppm_profile_tier_bytes{tier=\"full\"} %d\n", st.Profiles.FullBytes)
-	fmt.Fprintf(&b, "rppm_profile_tier_bytes{tier=\"compact\"} %d\n", st.Profiles.CompactBytes)
-	fmt.Fprintf(&b, "# HELP rppm_profile_tier_entries Resident profile entries per tier.\n# TYPE rppm_profile_tier_entries gauge\n")
-	fmt.Fprintf(&b, "rppm_profile_tier_entries{tier=\"full\"} %d\n", st.Profiles.FullEntries)
-	fmt.Fprintf(&b, "rppm_profile_tier_entries{tier=\"compact\"} %d\n", st.Profiles.CompactEntries)
+	counter("rppm_profile_hits_total", "Profile requests served by a resident or in-flight cache entry.", st.Profiles.Hits)
 	gauge("rppm_cache_bytes_resident", "Accounted bytes of resident cache entries.", st.BytesResident)
 	gauge("rppm_cache_entries", "Live cache entries, including in-flight ones.", int64(st.Entries))
 	gauge("rppm_cache_bytes_budget", "Configured cache memory budget (0 = unbounded).", s.cfg.MaxBytes)

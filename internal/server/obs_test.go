@@ -175,7 +175,7 @@ func TestDebugCacheEndpoint(t *testing.T) {
 			t.Fatalf("unexpected bench %q in cache inventory", e.Bench)
 		}
 	}
-	for _, want := range []string{"program", "trace", "profile-full", "prediction"} {
+	for _, want := range []string{"program", "trace", "profile", "prediction"} {
 		if !kinds[want] {
 			t.Fatalf("cache inventory kinds %v missing %q", kinds, want)
 		}

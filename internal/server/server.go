@@ -466,6 +466,58 @@ func parsePredict(r *http.Request) (PredictRequest, workload.Benchmark, arch.Con
 	return req, bm, cfg, nil
 }
 
+// parseSweep decodes and validates a sweep request.
+func parseSweep(r *http.Request) (SweepRequest, workload.Benchmark, error) {
+	req := SweepRequest{Configs: 16, Seed: 1, Scale: 0.3}
+	err := decodeRequest(r, &req, func(get func(string) string) error {
+		req.Bench = get("bench")
+		var err error
+		if c := get("configs"); c != "" {
+			if req.Configs, err = strconv.Atoi(c); err != nil {
+				return badRequest("bad configs: %v", err)
+			}
+		}
+		if req.Seed, err = parseUint(get("seed"), req.Seed); err != nil {
+			return badRequest("bad seed: %v", err)
+		}
+		if req.Scale, err = parseFloat(get("scale"), req.Scale); err != nil {
+			return badRequest("bad scale: %v", err)
+		}
+		if b := get("batch"); b != "" {
+			if req.Batch, err = strconv.Atoi(b); err != nil {
+				return badRequest("bad batch: %v", err)
+			}
+		}
+		req.Debug = parseBool(get("debug"))
+		return nil
+	})
+	if err != nil {
+		return req, workload.Benchmark{}, err
+	}
+	switch {
+	case req.Bench == "":
+		err = badRequest("missing bench parameter (see /v1/benchmarks)")
+	case !(req.Scale > 0) || req.Scale > 1:
+		err = badRequest("scale must be in (0, 1], got %v", req.Scale)
+	case req.Configs < 1:
+		err = badRequest("configs must be at least 1, got %d", req.Configs)
+	case req.Batch < 0:
+		err = badRequest("batch must be non-negative (0 = auto), got %d", req.Batch)
+	case req.Configs > MaxSweepConfigs:
+		// The CLI's -configs is operator-controlled; this is a network
+		// surface, and each config is a full cycle-level simulation.
+		err = badRequest("configs must be at most %d, got %d", MaxSweepConfigs, req.Configs)
+	}
+	if err != nil {
+		return req, workload.Benchmark{}, err
+	}
+	bm, err := workload.ResolveBenchmark(req.Bench)
+	if err != nil {
+		return req, workload.Benchmark{}, badRequest("%v", err)
+	}
+	return req, bm, nil
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	psp := obs.Start(ctx, "parse")
@@ -497,57 +549,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	psp := obs.Start(ctx, "parse")
-	req := SweepRequest{Configs: 16, Seed: 1, Scale: 0.3}
-	err := decodeRequest(r, &req, func(get func(string) string) error {
-		req.Bench = get("bench")
-		var err error
-		if c := get("configs"); c != "" {
-			if req.Configs, err = strconv.Atoi(c); err != nil {
-				return badRequest("bad configs: %v", err)
-			}
-		}
-		if req.Seed, err = parseUint(get("seed"), req.Seed); err != nil {
-			return badRequest("bad seed: %v", err)
-		}
-		if req.Scale, err = parseFloat(get("scale"), req.Scale); err != nil {
-			return badRequest("bad scale: %v", err)
-		}
-		if b := get("batch"); b != "" {
-			if req.Batch, err = strconv.Atoi(b); err != nil {
-				return badRequest("bad batch: %v", err)
-			}
-		}
-		req.Debug = parseBool(get("debug"))
-		return nil
-	})
-	if err != nil {
-		psp.End()
-		writeErr(w, err)
-		return
-	}
-	switch {
-	case req.Bench == "":
-		err = badRequest("missing bench parameter (see /v1/benchmarks)")
-	case !(req.Scale > 0) || req.Scale > 1:
-		err = badRequest("scale must be in (0, 1], got %v", req.Scale)
-	case req.Configs < 1:
-		err = badRequest("configs must be at least 1, got %d", req.Configs)
-	case req.Batch < 0:
-		err = badRequest("batch must be non-negative (0 = auto), got %d", req.Batch)
-	case req.Configs > MaxSweepConfigs:
-		// The CLI's -configs is operator-controlled; this is a network
-		// surface, and each config is a full cycle-level simulation.
-		err = badRequest("configs must be at most %d, got %d", MaxSweepConfigs, req.Configs)
-	}
-	if err != nil {
-		psp.End()
-		writeErr(w, err)
-		return
-	}
-	bm, err := workload.ResolveBenchmark(req.Bench)
+	req, bm, err := parseSweep(r)
 	psp.End()
 	if err != nil {
-		writeErr(w, badRequest("%v", err))
+		writeErr(w, err)
 		return
 	}
 	ectx, esp := obs.StartSpan(ctx, "exec")

@@ -311,7 +311,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 		t.Fatalf("first server profiled %d times, want 1", n)
 	}
 	if st := srv1.Session().Stats(); st.Profiles.Runs != 1 {
-		t.Fatalf("first server tier stats: %+v", st.Profiles)
+		t.Fatalf("first server profile stats: %+v", st.Profiles)
 	}
 
 	ev2 := newEventCounter()
@@ -333,7 +333,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 	}
 	st := srv2.Session().Stats()
 	if st.Profiles.Runs != 0 || st.Profiles.Loads != 1 {
-		t.Errorf("restarted server tier stats: %+v", st.Profiles)
+		t.Errorf("restarted server profile stats: %+v", st.Profiles)
 	}
 
 	// The /metrics surface the smoke test asserts on.
@@ -343,7 +343,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 	for _, want := range []string{
 		"rppm_profile_runs_total 0",
 		"rppm_profile_loads_total 1",
-		"rppm_profile_tier_entries{tier=\"full\"} 1",
+		"rppm_profile_hits_total 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

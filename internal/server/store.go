@@ -447,9 +447,9 @@ func (a *artifactStore) storeTrace(ctx context.Context, k engine.Key, rec *trace
 	})
 }
 
-// loadProfile reloads a persisted profile on a cache miss or a compact-tier
-// promotion: the path that lets a restarted replica serve cold predictions
-// without ever running the profiling pass.
+// loadProfile reloads a persisted profile on a cache miss: the path that
+// lets a restarted replica, or a session that evicted the profile, serve
+// cold predictions without running the profiling pass again.
 func (a *artifactStore) loadProfile(ctx context.Context, pk engine.ProfileKey) (*profiler.Profile, bool) {
 	path := a.profilePath(pk)
 	var prof *profiler.Profile
@@ -460,9 +460,9 @@ func (a *artifactStore) loadProfile(ctx context.Context, pk engine.ProfileKey) (
 		}
 		// The filename encodes the key, but trust only the file contents: a
 		// renamed or hand-placed file must not serve the wrong workload.
-		if p.Name != pk.Bench || opts != pk.Opts || p.Compact {
+		if p.Name != pk.Bench || opts != pk.Opts {
 			return &keyMismatchError{fmt.Sprintf(
-				"profile contents (%q, %+v, compact=%v) do not match key", p.Name, opts, p.Compact)}
+				"profile contents (%q, %+v) do not match key", p.Name, opts)}
 		}
 		prof = p
 		return nil

@@ -118,7 +118,7 @@ import json, sys
 inv = json.load(open(sys.argv[1]))
 assert inv["count"] >= 1 and len(inv["entries"]) == inv["count"], inv
 kinds = {e["kind"] for e in inv["entries"]}
-assert "profile-full" in kinds or "profile-compact" in kinds, f"no profile entries in {kinds}"
+assert "profile" in kinds, f"no profile entries in {kinds}"
 print(f"cache inventory OK: {inv['count']} entries, kinds {sorted(kinds)}")
 PY
 
