@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"rppm/internal/arch"
 	"rppm/internal/core"
@@ -18,6 +20,11 @@ import (
 	"rppm/internal/sim"
 	"rppm/internal/workload"
 )
+
+const usage = `usage: rppm-diag [BENCH...]          diagnose benchmarks (default: hotspot nn lavaMD)
+       rppm-diag profile FILE.rpp...  inspect persisted profiles
+       rppm-diag fsck DIR             validate a serve spill directory
+       rppm-diag trace URL            summarize a serve instance's request traces`
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "profile" {
@@ -29,50 +36,78 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "trace" {
 		os.Exit(traceCmd(os.Args[2:]))
 	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the default mode: a model-vs-simulation diagnosis table per named
+// benchmark (fixed-suite or registry entry) on the base config. It returns
+// the process exit code: 2 with usage for a flag or an unknown name, before
+// any benchmark runs; 1 when a run fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		args = []string{"hotspot", "nn", "lavaMD"}
+	}
+	bms := make([]workload.Benchmark, len(args))
+	for i, name := range args {
+		if strings.HasPrefix(name, "-") {
+			fmt.Fprintln(stderr, usage)
+			return 2
+		}
+		bm, err := workload.ResolveBenchmark(name)
+		if err != nil {
+			fmt.Fprintf(stderr, "rppm-diag: %v\n%s\n", err, usage)
+			return 2
+		}
+		bms[i] = bm
+	}
+	for _, bm := range bms {
+		if err := diagnose(stdout, bm); err != nil {
+			fmt.Fprintf(stderr, "rppm-diag: %s: %v\n", bm.Name, err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// diagnose profiles, simulates and predicts one benchmark at scale 0.3 on
+// the base config and prints the predicted and simulated CPI stacks of its
+// first two threads, with the interval model's intermediate quantities.
+func diagnose(w io.Writer, bm workload.Benchmark) error {
 	cfg := arch.Base()
-	scale := 0.3
-	names := os.Args[1:]
-	if len(names) == 0 {
-		names = []string{"hotspot", "nn", "lavaMD"}
+	const scale = 0.3
+	prof, err := profiler.Run(bm.Build(1, scale), profiler.Options{})
+	if err != nil {
+		return err
 	}
-	for _, name := range names {
-		bm, err := workload.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		prof, err := profiler.Run(bm.Build(1, scale), profiler.Options{})
-		if err != nil {
-			panic(err)
-		}
-		simRes, err := sim.Run(bm.Build(1, scale), cfg)
-		if err != nil {
-			panic(err)
-		}
-		pred, err := core.Predict(prof, cfg)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("=== %s: sim %.0f pred %.0f (err %+.1f%%)\n", name, simRes.Cycles, pred.Cycles,
-			100*(pred.Cycles-simRes.Cycles)/simRes.Cycles)
-		for t := 0; t < 2; t++ {
-			ss := simRes.Threads[t].Stack
-			ps := pred.Threads[t].Stack
-			fmt.Printf(" t%d sim : N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
-				t, ss.Instr, ss.Base, ss.Branch, ss.ICache, ss.MemL2, ss.MemLLC, ss.MemDRAM, ss.Sync)
-			fmt.Printf("    pred: N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
-				ps.Instr, ps.Base, ps.Branch, ps.ICache, ps.MemL2, ps.MemLLC, ps.MemDRAM, ps.Sync)
-			agg := prof.Threads[t].Aggregate()
-			dg := interval.Diagnose(agg, &cfg)
-			fmt.Printf("    diag: Deff=%.2f cres=%.1f mL1D=%.3f mL2=%.3f mLLC=%.3f mL1I=%.3f MLP=%.2f(misses %d) brMiss=%.3f loads=%d\n",
-				dg.Deff, dg.Cres, dg.MissRate.L1D, dg.MissRate.L2, dg.MissRate.LLC, dg.MissRate.L1I, dg.MLP, dg.MLPMisses, dg.BranchMiss, agg.Loads)
-			// implied sim MLP
-			simDram := ss.MemDRAM
-			impliedMisses := float64(agg.Loads) * dg.MissRate.LLC
-			if simDram > 0 {
-				fmt.Printf("    implied sim MLP ~= %.2f\n", impliedMisses*float64(cfg.MemLatency)/simDram)
-			}
+	simRes, err := sim.Run(bm.Build(1, scale), cfg)
+	if err != nil {
+		return err
+	}
+	pred, err := core.Predict(prof, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "=== %s: sim %.0f pred %.0f (err %+.1f%%)\n", bm.Name, simRes.Cycles, pred.Cycles,
+		100*(pred.Cycles-simRes.Cycles)/simRes.Cycles)
+	for t := 0; t < 2 && t < len(prof.Threads); t++ {
+		ss := simRes.Threads[t].Stack
+		ps := pred.Threads[t].Stack
+		fmt.Fprintf(w, " t%d sim : N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
+			t, ss.Instr, ss.Base, ss.Branch, ss.ICache, ss.MemL2, ss.MemLLC, ss.MemDRAM, ss.Sync)
+		fmt.Fprintf(w, "    pred: N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
+			ps.Instr, ps.Base, ps.Branch, ps.ICache, ps.MemL2, ps.MemLLC, ps.MemDRAM, ps.Sync)
+		agg := prof.Threads[t].Aggregate()
+		dg := interval.Diagnose(agg, &cfg)
+		fmt.Fprintf(w, "    diag: Deff=%.2f cres=%.1f mL1D=%.3f mL2=%.3f mLLC=%.3f mL1I=%.3f MLP=%.2f(misses %d) brMiss=%.3f loads=%d\n",
+			dg.Deff, dg.Cres, dg.MissRate.L1D, dg.MissRate.L2, dg.MissRate.LLC, dg.MissRate.L1I, dg.MLP, dg.MLPMisses, dg.BranchMiss, agg.Loads)
+		// implied sim MLP
+		simDram := ss.MemDRAM
+		impliedMisses := float64(agg.Loads) * dg.MissRate.LLC
+		if simDram > 0 {
+			fmt.Fprintf(w, "    implied sim MLP ~= %.2f\n", impliedMisses*float64(cfg.MemLatency)/simDram)
 		}
 	}
+	return nil
 }
 
 // profileDump inspects persisted profile files (format v2, .rpp): header,

@@ -63,37 +63,65 @@ type Config struct {
 	SyncOverhead int
 }
 
-// Validate checks internal consistency of the configuration.
+// Validate checks internal consistency of the configuration. It runs on
+// every prediction and simulation, so a valid config allocates nothing:
+// messages are formatted only for the checks that fail.
 func (c *Config) Validate() error {
 	var problems []string
-	check := func(ok bool, format string, args ...interface{}) {
-		if !ok {
-			problems = append(problems, fmt.Sprintf(format, args...))
-		}
+	fail := func(format string, args ...any) {
+		problems = append(problems, fmt.Sprintf(format, args...))
 	}
-	check(c.Cores > 0, "Cores must be positive, got %d", c.Cores)
-	check(c.FrequencyGHz > 0, "FrequencyGHz must be positive, got %v", c.FrequencyGHz)
-	check(c.DispatchWidth > 0, "DispatchWidth must be positive, got %d", c.DispatchWidth)
-	check(c.ROBSize >= c.DispatchWidth, "ROBSize %d must be >= DispatchWidth %d", c.ROBSize, c.DispatchWidth)
-	check(c.IssueQueueSize > 0, "IssueQueueSize must be positive, got %d", c.IssueQueueSize)
-	check(c.IssueQueueSize <= c.ROBSize, "IssueQueueSize %d must be <= ROBSize %d", c.IssueQueueSize, c.ROBSize)
-	check(c.FrontendDepth > 0, "FrontendDepth must be positive, got %d", c.FrontendDepth)
-	check(c.MSHRs > 0, "MSHRs must be positive, got %d", c.MSHRs)
-	check(c.MemLatency > 0, "MemLatency must be positive, got %d", c.MemLatency)
-	for _, lvl := range []struct {
+	if !(c.Cores > 0) {
+		fail("Cores must be positive, got %d", c.Cores)
+	}
+	if !(c.FrequencyGHz > 0) {
+		fail("FrequencyGHz must be positive, got %v", c.FrequencyGHz)
+	}
+	if !(c.DispatchWidth > 0) {
+		fail("DispatchWidth must be positive, got %d", c.DispatchWidth)
+	}
+	if !(c.ROBSize >= c.DispatchWidth) {
+		fail("ROBSize %d must be >= DispatchWidth %d", c.ROBSize, c.DispatchWidth)
+	}
+	if !(c.IssueQueueSize > 0) {
+		fail("IssueQueueSize must be positive, got %d", c.IssueQueueSize)
+	}
+	if !(c.IssueQueueSize <= c.ROBSize) {
+		fail("IssueQueueSize %d must be <= ROBSize %d", c.IssueQueueSize, c.ROBSize)
+	}
+	if !(c.FrontendDepth > 0) {
+		fail("FrontendDepth must be positive, got %d", c.FrontendDepth)
+	}
+	if !(c.MSHRs > 0) {
+		fail("MSHRs must be positive, got %d", c.MSHRs)
+	}
+	if !(c.MemLatency > 0) {
+		fail("MemLatency must be positive, got %d", c.MemLatency)
+	}
+	for _, lvl := range [...]struct {
 		name string
-		c    CacheConfig
-	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC", c.LLC}} {
-		check(lvl.c.SizeBytes > 0, "%s size must be positive", lvl.name)
-		check(lvl.c.LineBytes > 0, "%s line size must be positive", lvl.name)
-		check(lvl.c.Assoc > 0, "%s associativity must be positive", lvl.name)
-		if lvl.c.SizeBytes > 0 && lvl.c.LineBytes > 0 && lvl.c.Assoc > 0 {
-			check(lvl.c.Lines()%lvl.c.Assoc == 0, "%s lines not divisible by associativity", lvl.name)
+		c    *CacheConfig
+	}{{"L1I", &c.L1I}, {"L1D", &c.L1D}, {"L2", &c.L2}, {"LLC", &c.LLC}} {
+		if !(lvl.c.SizeBytes > 0) {
+			fail("%s size must be positive", lvl.name)
 		}
-		check(lvl.c.HitLatency > 0, "%s hit latency must be positive", lvl.name)
+		if !(lvl.c.LineBytes > 0) {
+			fail("%s line size must be positive", lvl.name)
+		}
+		if !(lvl.c.Assoc > 0) {
+			fail("%s associativity must be positive", lvl.name)
+		}
+		if lvl.c.SizeBytes > 0 && lvl.c.LineBytes > 0 && lvl.c.Assoc > 0 &&
+			lvl.c.Lines()%lvl.c.Assoc != 0 {
+			fail("%s lines not divisible by associativity", lvl.name)
+		}
+		if !(lvl.c.HitLatency > 0) {
+			fail("%s hit latency must be positive", lvl.name)
+		}
 	}
-	check(c.L1D.LineBytes == c.LLC.LineBytes && c.L2.LineBytes == c.LLC.LineBytes,
-		"cache line sizes must match across the hierarchy")
+	if c.L1D.LineBytes != c.LLC.LineBytes || c.L2.LineBytes != c.LLC.LineBytes {
+		fail("cache line sizes must match across the hierarchy")
+	}
 	if len(problems) > 0 {
 		return fmt.Errorf("arch: invalid config %q: %s", c.Name, strings.Join(problems, "; "))
 	}

@@ -176,3 +176,43 @@ func TestSweepSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateMessages pins Validate's full error text: every failing
+// check, in order, worded as callers and logs have always seen it.
+func TestValidateMessages(t *testing.T) {
+	zero := Config{Name: "zero"}
+	broken := Base()
+	broken.FrequencyGHz = math.NaN()
+	broken.ROBSize = 1
+	broken.IssueQueueSize = 2
+	broken.L2.LineBytes = 128
+	broken.L2.Assoc = 7
+	for _, tc := range []struct {
+		c    Config
+		want string
+	}{
+		{zero, `arch: invalid config "zero": Cores must be positive, got 0; FrequencyGHz must be positive, got 0; DispatchWidth must be positive, got 0; IssueQueueSize must be positive, got 0; FrontendDepth must be positive, got 0; MSHRs must be positive, got 0; MemLatency must be positive, got 0; L1I size must be positive; L1I line size must be positive; L1I associativity must be positive; L1I hit latency must be positive; L1D size must be positive; L1D line size must be positive; L1D associativity must be positive; L1D hit latency must be positive; L2 size must be positive; L2 line size must be positive; L2 associativity must be positive; L2 hit latency must be positive; LLC size must be positive; LLC line size must be positive; LLC associativity must be positive; LLC hit latency must be positive`},
+		{broken, `arch: invalid config "base": FrequencyGHz must be positive, got NaN; ROBSize 1 must be >= DispatchWidth 4; IssueQueueSize 2 must be <= ROBSize 1; L2 lines not divisible by associativity; cache line sizes must match across the hierarchy`},
+	} {
+		err := tc.c.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Validate() = %v\nwant %s", err, tc.want)
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: Validate runs on every prediction and
+// simulation, so a valid config must cost no allocation.
+func TestValidateAllocatesNothing(t *testing.T) {
+	space := SweepSpace(256)
+	i := 0
+	allocs := testing.AllocsPerRun(len(space), func() {
+		if err := space[i%len(space)].Validate(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Validate allocates %v times per valid config, want 0", allocs)
+	}
+}

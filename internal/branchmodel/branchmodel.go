@@ -177,10 +177,14 @@ func (p *Profile) Merge(other *Profile) {
 	})
 }
 
-// Branches returns the total dynamic branch count in the profile.
+// Branches returns the total dynamic branch count in the profile. It sums
+// the memoized sorted snapshot that MissRate already builds: predictions
+// call it once per epoch, and the integer sum does not depend on order.
 func (p *Profile) Branches() uint64 {
 	var n uint64
-	p.sites.Range(func(_ uint64, s *SiteStats) { n += s.Count })
+	for _, s := range p.sortedSites() {
+		n += s.Count
+	}
 	return n
 }
 

@@ -130,3 +130,30 @@ func BenchmarkPredictSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs))/1e6, "ms/config")
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestPredictAllocations bounds core.Predict's allocations: the interval
+// model's per-epoch walks reuse pooled buffers, so what remains is the
+// prediction's own result and phase-2 state, not a count per epoch.
+func TestPredictAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	prof := profileOf(t, "streamcluster", 0.05)
+	space := arch.SweepSpace(256)
+	for _, cfg := range []arch.Config{space[0], space[255]} {
+		if _, err := Predict(prof, cfg); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := Predict(prof, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 150 {
+			t.Errorf("%s (ROB %d): Predict allocates %v times per call, want at most 150", cfg.Name, cfg.ROBSize, n)
+		}
+	}
+}

@@ -18,6 +18,8 @@
 package ilp
 
 import (
+	"sync"
+
 	"rppm/internal/arch"
 	"rppm/internal/profiler"
 	"rppm/internal/trace"
@@ -111,6 +113,10 @@ func fuLimit(mix [trace.NumClasses]uint64, cfg *arch.Config) float64 {
 	return limit
 }
 
+// depthPool recycles windowILP's chain-depth buffers, so steady-state
+// predictions neither allocate nor zero them.
+var depthPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // windowILP walks the micro-traces, partitions them into ROB-sized chunks,
 // and returns the harmonic-mean IPC bound W/L plus the mean branch
 // resolution depth. Every window class must be below trace.NumClasses and
@@ -123,7 +129,18 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 	var branchDepthSum float64
 	var branchCount float64
 
-	depth := make([]float64, 0, rob)
+	// A chunk never spans windows, so it is at most min(ROB, longest
+	// window) long: size the buffer to that, not to the ROB.
+	chunk := 0
+	for wi := range windows {
+		chunk = max(chunk, windows[wi].Len())
+	}
+	chunk = min(chunk, rob)
+	buf := depthPool.Get().(*[]float64)
+	if cap(*buf) < chunk {
+		*buf = make([]float64, chunk)
+	}
+	depth := (*buf)[:chunk]
 	for wi := range windows {
 		w := &windows[wi]
 		n := w.Len()
@@ -132,7 +149,6 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 			if end > n {
 				end = n
 			}
-			depth = depth[:0]
 			chunkCrit := 0.0
 			for i := start; i < end; i++ {
 				lat := classLat[w.Classes[i]]
@@ -147,7 +163,7 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 						d = v
 					}
 				}
-				depth = append(depth, d)
+				depth[i-start] = d
 				if d > chunkCrit {
 					chunkCrit = d
 				}
@@ -167,6 +183,7 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 			instrSum += chunkLen
 		}
 	}
+	depthPool.Put(buf)
 	if instrSum > 0 && cycleSum > 0 {
 		ipc = instrSum / cycleSum
 		haveILP = true

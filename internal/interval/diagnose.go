@@ -39,7 +39,7 @@ func Diagnose(ep *profiler.Epoch, cfg *arch.Config) Diagnosis {
 		d.MissRate.L2 = minF(pm.MissRate(cfg.L2.Lines()), d.MissRate.L1D)
 		d.MissRate.LLC = minF(gm.MissRate(cfg.LLC.Lines()), d.MissRate.L2)
 		d.MLP, d.MLPMisses = mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
-			llcMissPredicate(gm, cfg))
+			gm.CriticalDistance(cfg.LLC.Lines()))
 	} else {
 		d.MLP = 1
 	}

@@ -21,8 +21,6 @@ import (
 	"rppm/internal/ilp"
 	"rppm/internal/mlp"
 	"rppm/internal/profiler"
-	"rppm/internal/stats"
-	"rppm/internal/statstack"
 )
 
 // Stack is a CPI stack in absolute cycles for one region of execution.
@@ -165,7 +163,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 			mlpVal := 1.0
 			if !opts.NoMLP {
 				raw, _ := mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
-					llcMissPredicate(gm, cfg))
+					gm.CriticalDistance(cfg.LLC.Lines()))
 				mlpVal = effectiveMLP(raw)
 			}
 			st.MemDRAM = loads * mLLC * float64(cfg.MemLatency) / mlpVal
@@ -208,16 +206,6 @@ const mlpStagger = 0.6
 // effectiveMLP converts ideal window MLP into achieved MLP.
 func effectiveMLP(raw float64) float64 {
 	return 1 + mlpStagger*(raw-1)
-}
-
-// llcMissPredicate returns the per-access LLC hit/miss classifier used by
-// the MLP model: infinite reuse distances (cold and coherence misses)
-// always miss; finite distances miss beyond StatStack's critical distance.
-func llcMissPredicate(gm *statstack.Model, cfg *arch.Config) func(rd int64) bool {
-	crit := gm.CriticalDistance(cfg.LLC.Lines())
-	return func(rd int64) bool {
-		return rd == stats.Infinite || float64(rd) >= crit
-	}
 }
 
 // PredictThread aggregates Equation 1 across all epochs of a thread profile

@@ -5,8 +5,8 @@
 //
 // The profile supplies micro-trace windows with load positions, load-load
 // dependence edges and per-access global reuse distances. At prediction
-// time, a caller-supplied predicate decides which loads miss the LLC (it
-// encapsulates the cache size via StatStack's critical reuse distance).
+// time, StatStack's critical reuse distance for the LLC size decides which
+// loads miss the LLC.
 // Within each ROB-sized chunk, misses that are mutually independent can be
 // outstanding simultaneously; chains of dependent misses (pointer chasing)
 // serialize. MLP for a chunk is therefore
@@ -17,14 +17,24 @@
 // [1, MSHRs].
 package mlp
 
-import "rppm/internal/profiler"
+import (
+	"sync"
+
+	"rppm/internal/profiler"
+	"rppm/internal/stats"
+)
+
+// chainPool recycles Compute's chain-depth buffers, so steady-state
+// predictions neither allocate nor zero them.
+var chainPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Compute returns the predicted MLP for the given windows under a ROB of
-// robSize entries and mshrs outstanding-miss registers. isMiss decides
-// whether a load with the given global reuse distance misses the LLC.
+// robSize entries and mshrs outstanding-miss registers. A load misses the
+// LLC when its global reuse distance is infinite (cold and coherence
+// misses) or at least crit, the LLC's critical reuse distance.
 // The second return value is the number of LLC-missing loads observed in
 // the windows (model inputs' sample size), useful for diagnostics.
-func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64) bool) (float64, int) {
+func Compute(windows []profiler.Window, robSize, mshrs int, crit float64) (float64, int) {
 	if robSize < 1 {
 		robSize = 1
 	}
@@ -33,8 +43,18 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 
 	// chainDepth[i] = length of the longest chain of dependent LLC misses
 	// ending at instruction i (0 when i does not depend on any miss and is
-	// not one itself).
-	var chainDepth []int
+	// not one itself). A chunk never spans windows, so it is at most
+	// min(ROB, longest window) long.
+	chunk := 0
+	for wi := range windows {
+		chunk = max(chunk, windows[wi].Len())
+	}
+	chunk = min(chunk, robSize)
+	buf := chainPool.Get().(*[]int)
+	if cap(*buf) < chunk {
+		*buf = make([]int, chunk)
+	}
+	chainDepth := (*buf)[:chunk]
 	for wi := range windows {
 		w := &windows[wi]
 		n := w.Len()
@@ -43,7 +63,6 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 			if end > n {
 				end = n
 			}
-			chainDepth = chainDepth[:0]
 			misses := 0
 			maxChain := 0
 			for i := start; i < end; i++ {
@@ -59,11 +78,12 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 					}
 				}
 				d := inherited
-				if w.IsLoad[i] && w.GlobalRD[i] >= 0 && isMiss(w.GlobalRD[i]) {
+				if rd := w.GlobalRD[i]; w.IsLoad[i] && rd >= 0 &&
+					(rd == stats.Infinite || float64(rd) >= crit) {
 					misses++
 					d = inherited + 1
 				}
-				chainDepth = append(chainDepth, d)
+				chainDepth[i-start] = d
 				if d > maxChain {
 					maxChain = d
 				}
@@ -76,6 +96,7 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 			totalMisses += misses
 		}
 	}
+	chainPool.Put(buf)
 	if totalMisses == 0 {
 		return 1, 0
 	}

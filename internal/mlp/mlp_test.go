@@ -22,7 +22,8 @@ func loadsWindow(chain []int, rd []int64) profiler.Window {
 	return w
 }
 
-func missAll(int64) bool { return true }
+// missAll is the critical reuse distance at which every load misses.
+const missAll = 0
 
 func TestIndependentMissesFullMLP(t *testing.T) {
 	// 8 independent missing loads in one ROB window: MLP = 8.
@@ -89,8 +90,7 @@ func TestMSHRCap(t *testing.T) {
 func TestHitsDoNotCount(t *testing.T) {
 	chain := []int{-1, -1, -1, -1}
 	rd := []int64{10, 1 << 30, 10, 1 << 30}
-	isMiss := func(r int64) bool { return r > 1000 }
-	got, n := Compute([]profiler.Window{loadsWindow(chain, rd)}, 128, 16, isMiss)
+	got, n := Compute([]profiler.Window{loadsWindow(chain, rd)}, 128, 16, 1001)
 	if n != 2 {
 		t.Fatalf("misses = %d, want 2", n)
 	}
@@ -102,7 +102,7 @@ func TestHitsDoNotCount(t *testing.T) {
 func TestNoMissesReturnsOne(t *testing.T) {
 	chain := []int{-1, -1}
 	rd := []int64{1, 1}
-	got, n := Compute([]profiler.Window{loadsWindow(chain, rd)}, 128, 16, func(int64) bool { return false })
+	got, n := Compute([]profiler.Window{loadsWindow(chain, rd)}, 128, 16, math.Inf(1))
 	if got != 1 || n != 0 {
 		t.Fatalf("MLP = %v misses = %d, want 1 and 0", got, n)
 	}
