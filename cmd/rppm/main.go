@@ -14,10 +14,9 @@
 //	rppm serve    [flags]              # resident HTTP/JSON prediction service
 //
 // Common flags: -config (smallest|small|base|big|biggest), -scale, -seed,
-// -parallel; sweep takes -configs (design points, Table IV + variants) and
-// -batch (configs per batched simulation job, 0 = auto); predict and sweep
-// take -json (machine-readable output, byte-comparable with the
-// corresponding serve endpoint); serve takes -addr, -max-bytes,
+// -parallel; sweep takes -configs (design points, Table IV + variants);
+// predict and sweep take -json (machine-readable output, byte-comparable
+// with the corresponding serve endpoint); serve takes -addr, -max-bytes,
 // -trace-dir, -max-inflight (see `rppm serve -h` and the README's Serving
 // section).
 package main
@@ -62,7 +61,6 @@ func main() {
 	nconfigs := fs.Int("configs", 16, "design points for `rppm sweep` (Table IV + derived variants)")
 	traceDir := fs.String("trace-dir", "", "spill directory for `rppm profile` (writes the file name `rppm serve -trace-dir` reloads)")
 	outPath := fs.String("o", "", "explicit output file for `rppm profile` (overrides -trace-dir naming)")
-	batch := fs.Int("batch", 0, "configs simulated per batched sweep job (0 = auto from -configs and -parallel; results are identical at any width)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (predict and sweep; matches the /v1/predict and /v1/sweep wire formats)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -81,17 +79,14 @@ func main() {
 		if *nconfigs < 1 {
 			fatal(fmt.Errorf("-configs must be at least 1, got %d", *nconfigs))
 		}
-		if *batch < 0 {
-			fatal(fmt.Errorf("-batch must be non-negative (0 = auto), got %d", *batch))
-		}
 		session := rppm.NewEngine(rppm.EngineOptions{Workers: *parallel}).NewSession()
 		if *jsonOut {
-			if err := jsonSweep(session, *benchName, *nconfigs, *batch, *scale, *seed); err != nil {
+			if err := jsonSweep(session, *benchName, *nconfigs, *scale, *seed); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		if err := sweep(session, *benchName, *nconfigs, *batch, *scale, *seed); err != nil {
+		if err := sweep(session, *benchName, *nconfigs, *scale, *seed); err != nil {
 			fatal(err)
 		}
 	case "profile":
@@ -133,7 +128,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rppm {list|predict|simulate|compare|bottle|sweep|profile|suite|serve} [-bench NAME] [-config base] [-configs 16] [-batch 0] [-scale 0.3] [-seed 1] [-parallel N] [-json] [-trace-dir DIR] [-o FILE]")
+	fmt.Fprintln(os.Stderr, "usage: rppm {list|predict|simulate|compare|bottle|sweep|profile|suite|serve} [-bench NAME] [-config base] [-configs 16] [-scale 0.3] [-seed 1] [-parallel N] [-json] [-trace-dir DIR] [-o FILE]")
 }
 
 // suiteMain implements the suite subcommand: with no flags it lists the
@@ -268,13 +263,13 @@ func jsonPredict(s *rppm.Session, benchName string, cfg arch.Config, scale float
 // same construction path the server uses — so the output is
 // byte-comparable with a curl of the serving endpoint (the CI smoke job
 // diffs exactly that).
-func jsonSweep(s *rppm.Session, benchName string, nconfigs, batch int, scale float64, seed uint64) error {
+func jsonSweep(s *rppm.Session, benchName string, nconfigs int, scale float64, seed uint64) error {
 	bench, err := rppm.ResolveBenchmark(benchName)
 	if err != nil {
 		return err
 	}
 	resp, err := server.BuildSweep(context.Background(), s, bench, server.SweepRequest{
-		Bench: benchName, Configs: nconfigs, Seed: seed, Scale: scale, Batch: batch,
+		Bench: benchName, Configs: nconfigs, Seed: seed, Scale: scale,
 	})
 	if err != nil {
 		return err
@@ -286,7 +281,7 @@ func jsonSweep(s *rppm.Session, benchName string, nconfigs, batch int, scale flo
 // point against the recording, with the RPPM predictions (derived from one
 // profile of the same recording) computed in the same fan-out, then ranks
 // the points by simulated time.
-func sweep(s *rppm.Session, benchName string, nconfigs, batch int, scale float64, seed uint64) error {
+func sweep(s *rppm.Session, benchName string, nconfigs int, scale float64, seed uint64) error {
 	bench, err := rppm.ResolveBenchmark(benchName)
 	if err != nil {
 		return err
@@ -295,7 +290,7 @@ func sweep(s *rppm.Session, benchName string, nconfigs, batch int, scale float64
 	space := rppm.SweepSpace(nconfigs)
 
 	start := time.Now()
-	sims, preds, err := s.SimulatePredictSweepBatch(ctx, bench, seed, scale, space, batch)
+	sims, preds, err := s.SimulatePredictSweep(ctx, bench, seed, scale, space)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 package engine
 
 // Session-level tests for config-batched sweeps: the batch width is a
-// scheduling knob only, so every width must produce bit-identical results
+// scheduling choice only, so every width must produce bit-identical results
 // and identical cache/event accounting.
 
 import (
@@ -12,7 +12,15 @@ import (
 
 	"rppm/internal/arch"
 	"rppm/internal/sim"
+	"rppm/internal/workload"
 )
+
+// sweepWidth runs a simulation-only sweep of bm at the test seed and scale
+// with batch configurations per pool job (0 = automatic width).
+func sweepWidth(ctx context.Context, s *Session, bm workload.Benchmark, cfgs []arch.Config, batch int) ([]*sim.Result, error) {
+	sims, _, err := s.sweep(ctx, bm, testSeed, testScale, cfgs, false, batch)
+	return sims, err
+}
 
 // TestSweepBatchWidthsBitIdentical: sweeps at several explicit batch
 // widths (and the automatic width) return results bit-identical to fresh
@@ -35,7 +43,7 @@ func TestSweepBatchWidthsBitIdentical(t *testing.T) {
 	for _, batch := range []int{0, 1, 3, 8} {
 		c := newCounter()
 		s := New(Options{Workers: 4, Progress: c.sink}).NewSession()
-		got, err := s.SimulateSweepBatch(ctx, bm, testSeed, testScale, space, batch)
+		got, err := sweepWidth(ctx, s, bm, space, batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
@@ -71,7 +79,7 @@ func TestSweepBatchConcurrent(t *testing.T) {
 			// Overlapping windows with varying widths: plenty of claim
 			// races and coalesced waits.
 			lo := g % 3
-			res, err := s.SimulateSweepBatch(ctx, bm, testSeed, testScale, space[lo:], g%4)
+			res, err := sweepWidth(ctx, s, bm, space[lo:], g%4)
 			if err != nil {
 				t.Error(err)
 				return
@@ -106,7 +114,7 @@ func TestSweepBatchInvalidConfigDoesNotPoison(t *testing.T) {
 	bad := space[1]
 	bad.ROBSize = 0
 	s := New(Options{Workers: 1}).NewSession()
-	if _, err := s.SimulateSweepBatch(ctx, bm, testSeed, testScale,
+	if _, err := sweepWidth(ctx, s, bm,
 		[]arch.Config{space[0], bad, space[2]}, 3); err == nil {
 		t.Fatal("sweep with invalid config succeeded")
 	}

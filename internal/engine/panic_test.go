@@ -145,7 +145,7 @@ func TestBatchPanicWakesClaims(t *testing.T) {
 	cfgs := arch.SweepSpace(4)
 
 	mustPanic(t, "batched sweep with panicking sink", func() {
-		_, _ = s.SimulateSweepBatch(context.Background(), bm, testSeed, testScale, cfgs, 4)
+		_, _ = sweepWidth(context.Background(), s, bm, cfgs, 4)
 	})
 
 	// Every claimed slot must have been forgotten: the same sweep, healed,
@@ -153,7 +153,7 @@ func TestBatchPanicWakesClaims(t *testing.T) {
 	boom = false
 	done := make(chan error, 1)
 	go func() {
-		res, err := s.SimulateSweepBatch(context.Background(), bm, testSeed, testScale, cfgs, 4)
+		res, err := sweepWidth(context.Background(), s, bm, cfgs, 4)
 		if err == nil {
 			for i, r := range res {
 				if r == nil {

@@ -772,16 +772,7 @@ func (s *Session) simulateOn(ctx context.Context, bm workload.Benchmark, seed ui
 // sweep) are returned from cache, and later Simulate calls reuse sweep
 // results.
 func (s *Session) SimulateSweep(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config) ([]*sim.Result, error) {
-	return s.SimulateSweepBatch(ctx, bm, seed, scale, cfgs, 0)
-}
-
-// SimulateSweepBatch is SimulateSweep with an explicit batch width: each
-// pool job advances up to batch interleaved simulator states over the
-// shared trace. batch <= 0 selects the automatic width; batch == 1
-// restores one-config-per-job fan-out. The width is a scheduling knob
-// only — results are bit-identical at every setting.
-func (s *Session) SimulateSweepBatch(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config, batch int) ([]*sim.Result, error) {
-	sims, _, err := s.sweep(ctx, bm, seed, scale, cfgs, false, batch)
+	sims, _, err := s.sweep(ctx, bm, seed, scale, cfgs, false, 0)
 	return sims, err
 }
 
@@ -794,12 +785,6 @@ func (s *Session) SimulateSweepBatch(ctx context.Context, bm workload.Benchmark,
 // caches).
 func (s *Session) SimulatePredictSweep(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config) ([]*sim.Result, []*core.Prediction, error) {
 	return s.sweep(ctx, bm, seed, scale, cfgs, true, 0)
-}
-
-// SimulatePredictSweepBatch is SimulatePredictSweep with an explicit batch
-// width (see SimulateSweepBatch).
-func (s *Session) SimulatePredictSweepBatch(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config, batch int) ([]*sim.Result, []*core.Prediction, error) {
-	return s.sweep(ctx, bm, seed, scale, cfgs, true, batch)
 }
 
 // claim records one simulation cache slot a batch group claimed for
@@ -830,8 +815,7 @@ const maxBatchWidth = 8
 // reuse of the just-freed hierarchy between consecutive configs. Measured
 // on the 16-config kmeans sweep (1.2 MiB trace), forced width 8 is ~40%
 // slower than width 1; on the 640k-instruction sweep micro-benchmark
-// (18 MiB trace), width 8 is ~1.6× faster. An explicit batch width from
-// the caller bypasses this heuristic.
+// (18 MiB trace), width 8 is ~1.6× faster.
 const batchMinInstrs = 256 << 10
 
 // autoBatchWidth picks the configs-per-job width for a sweep of n
@@ -859,6 +843,10 @@ func autoBatchWidth(n, workers int, instrs uint64) int {
 	return k
 }
 
+// sweep runs SimulateSweep (and, with predict, SimulatePredictSweep)
+// with batch configurations per pool job; batch <= 0 selects
+// autoBatchWidth. The width is a scheduling choice only: results are
+// bit-identical at every width, which tests check by forcing widths here.
 func (s *Session) sweep(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config, predict bool, batch int) ([]*sim.Result, []*core.Prediction, error) {
 	// Capture the recording before fanning out, so the sweep's workers all
 	// attach to the one in-flight capture instead of racing to start it.
@@ -1027,7 +1015,7 @@ func (s *Session) simulateBatch(ctx context.Context, bm workload.Benchmark, seed
 			defer s.eng.release()
 			annotateWait(bsp, wait)
 			start := time.Now()
-			results, err := sim.RunBatch(progFn(), batchCfgs, sim.Hints{})
+			results, err := sim.RunBatch(progFn(), batchCfgs)
 			if err != nil {
 				return nil, err
 			}

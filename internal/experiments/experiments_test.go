@@ -99,8 +99,8 @@ func TestTableIIIShape(t *testing.T) {
 	if i := byName["fluidanimate"]; res.CriticalSections[i] <= res.Barriers[i] {
 		t.Error("fluidanimate should be critical-section dominated")
 	}
-	if i := byName["streamcluster"]; res.Barriers[i] <= res.CriticalSections[i] {
-		t.Error("streamcluster should be barrier dominated")
+	if i := byName["streamcluster-parsec"]; res.Barriers[i] <= res.CriticalSections[i] {
+		t.Error("streamcluster-parsec should be barrier dominated")
 	}
 	for _, name := range []string{"blackscholes", "freqmine", "swaptions"} {
 		i := byName[name]

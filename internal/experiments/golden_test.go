@@ -12,7 +12,12 @@ import (
 // hashmap / packed-cache / lazy-sim overhaul is required to be bit-identical
 // to that code: every float in every row must survive unchanged, serial and
 // parallel.
-const goldenFigure4 = "0eac97824318d0ba907f8b7870af5742949b64442b776fd7e726a8176b2f1a86"
+//
+// Re-pinned once since, for one row only: Parsec's streamcluster used to
+// share its name, and so its session cache key, with Rodinia's, and its
+// row reported Rodinia's program. Renamed streamcluster-parsec, the row
+// now reports its own program; every other row is unchanged.
+const goldenFigure4 = "58fbb128ecb433830e3b516b2880b973278889d72c57d5968b16feacba6f63c2"
 
 func hashFigure4(r *Figure4Result) string {
 	h := sha256.New()

@@ -346,7 +346,7 @@ func Run(p trace.Program, opt Options) (*Profile, error) {
 				continue
 			}
 			if ts.bufPos == ts.bufLen {
-				ts.bufLen = trace.FillBatch(ts.stream, ts.buf)
+				ts.bufLen = ts.stream.NextBatch(ts.buf)
 				ts.bufPos = 0
 				if ts.bufLen == 0 {
 					// Streams should end with an explicit exit; treat a

@@ -137,7 +137,7 @@ func TestSyncCountsTableIII(t *testing.T) {
 	if cs <= bar || cs < 100 {
 		t.Fatalf("fluidanimate: cs=%d barriers=%d, want CS-dominated", cs, bar)
 	}
-	sc := profileBench(t, "streamcluster", 0.05)
+	sc := profileBench(t, "streamcluster-parsec", 0.05)
 	cs, bar, _ = sc.SyncCounts()
 	if bar <= cs {
 		t.Fatalf("parsec streamcluster: cs=%d barriers=%d, want barrier-dominated", cs, bar)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -15,15 +16,22 @@ import (
 // predict and sweep request parsers. Neither may panic; every rejection
 // must be a 400; and every accepted request must be one the handlers can
 // execute: scale in (0, 1], a resolvable bench (and, for predict, config),
-// and for sweeps 1 ≤ configs ≤ MaxSweepConfigs and batch ≥ 0.
+// and for sweeps 1 ≤ configs ≤ MaxSweepConfigs. A sweep body naming a
+// "batch" field is rejected: the batch width is not part of the request.
 func FuzzParseRequests(f *testing.F) {
 	f.Add("bench=kmeans&config=big&seed=3&scale=0.05&baselines=1", []byte(`{"bench":"kmeans","config":"small","scale":0.05}`))
-	f.Add("bench=kmeans&configs=4&batch=2&scale=1", []byte(`{"bench":"kmeans","configs":4,"batch":2,"scale":0.1}`))
+	f.Add("bench=kmeans&configs=4&scale=1", []byte(`{"bench":"kmeans","configs":4,"scale":0.1}`))
 	f.Add("bench=nosuch&scale=NaN&configs=-1", []byte(`{"bench":"kmeans","configs":100000000,"scale":2}`))
-	f.Add("bench=kmeans&seed=-1&batch=x", []byte(`{"bench":"kmeans","unknown":1}`))
+	f.Add("bench=kmeans&seed=-1&configs=x", []byte(`{"bench":"kmeans","unknown":1}`))
 	f.Add("", []byte(`not json`))
+	f.Add("bench=kmeans&configs=4&batch=2&scale=0.05", []byte(`{"bench":"kmeans","configs":4,"batch":2,"scale":0.1}`))
 	f.Fuzz(func(t *testing.T, query string, body []byte) {
-		for _, r := range []func() *http.Request{
+		var fields map[string]json.RawMessage
+		hasBatch := false
+		if json.Unmarshal(body, &fields) == nil {
+			_, hasBatch = fields["batch"]
+		}
+		for i, r := range []func() *http.Request{
 			func() *http.Request {
 				return &http.Request{Method: http.MethodGet, URL: &url.URL{RawQuery: query}, Header: http.Header{}}
 			},
@@ -49,13 +57,13 @@ func FuzzParseRequests(f *testing.F) {
 				requireBadRequest(t, "sweep", err)
 				continue
 			}
+			if i == 1 && hasBatch { // the JSON body request
+				t.Fatalf("sweep: accepted a JSON body with a batch field: %s", body)
+			}
 			requireScale(t, "sweep", sreq.Scale)
 			requireBench(t, "sweep", sreq.Bench, bm)
 			if sreq.Configs < 1 || sreq.Configs > MaxSweepConfigs {
 				t.Fatalf("sweep: accepted configs %d outside [1, %d]", sreq.Configs, MaxSweepConfigs)
-			}
-			if sreq.Batch < 0 {
-				t.Fatalf("sweep: accepted negative batch %d", sreq.Batch)
 			}
 		}
 	})

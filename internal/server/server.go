@@ -483,11 +483,6 @@ func parseSweep(r *http.Request) (SweepRequest, workload.Benchmark, error) {
 		if req.Scale, err = parseFloat(get("scale"), req.Scale); err != nil {
 			return badRequest("bad scale: %v", err)
 		}
-		if b := get("batch"); b != "" {
-			if req.Batch, err = strconv.Atoi(b); err != nil {
-				return badRequest("bad batch: %v", err)
-			}
-		}
 		req.Debug = parseBool(get("debug"))
 		return nil
 	})
@@ -501,8 +496,6 @@ func parseSweep(r *http.Request) (SweepRequest, workload.Benchmark, error) {
 		err = badRequest("scale must be in (0, 1], got %v", req.Scale)
 	case req.Configs < 1:
 		err = badRequest("configs must be at least 1, got %d", req.Configs)
-	case req.Batch < 0:
-		err = badRequest("batch must be non-negative (0 = auto), got %d", req.Batch)
 	case req.Configs > MaxSweepConfigs:
 		// The CLI's -configs is operator-controlled; this is a network
 		// surface, and each config is a full cycle-level simulation.

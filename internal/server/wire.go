@@ -105,15 +105,14 @@ type SweepPoint struct {
 }
 
 // SweepRequest simulates and predicts Configs design points (Table IV +
-// derived variants) against one recorded trace. Batch is the config-batch
-// width per pool job (0 = automatic from config count and pool size); it
-// is a scheduling knob only and never changes response bytes.
+// derived variants) against one recorded trace. How many configurations
+// each pool job steps together is chosen by the engine from the trace
+// size and pool width; it never changes response bytes.
 type SweepRequest struct {
 	Bench   string  `json:"bench"`
 	Configs int     `json:"configs"`
 	Seed    uint64  `json:"seed"`
 	Scale   float64 `json:"scale"`
-	Batch   int     `json:"batch,omitempty"`
 	// Debug adds the request's span tree to the response (see
 	// PredictRequest.Debug).
 	Debug bool `json:"debug,omitempty"`
@@ -224,7 +223,7 @@ func BuildPredict(ctx context.Context, s *engine.Session, bm workload.Benchmark,
 // -json`, which keeps the two byte-comparable.
 func BuildSweep(ctx context.Context, s *engine.Session, bm workload.Benchmark, req SweepRequest) (*SweepResponse, error) {
 	space := arch.SweepSpace(req.Configs)
-	sims, preds, err := s.SimulatePredictSweepBatch(ctx, bm, req.Seed, req.Scale, space, req.Batch)
+	sims, preds, err := s.SimulatePredictSweep(ctx, bm, req.Seed, req.Scale, space)
 	if err != nil {
 		return nil, err
 	}

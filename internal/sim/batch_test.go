@@ -39,7 +39,7 @@ func TestRunBatchMatchesSerialDecoded(t *testing.T) {
 		}
 		dec := trace.Decode(rec)
 		cfgs := batchSpace(7, 6)
-		batched, err := RunBatch(dec, cfgs, Hints{})
+		batched, err := RunBatch(dec, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestRunBatchMatchesSerialDecoded(t *testing.T) {
 func TestRunBatchMatchesSerialGenerated(t *testing.T) {
 	prog := workload.BarrierLoop(4, 4, 5000, 1)
 	cfgs := batchSpace(3, 4)
-	batched, err := RunBatch(prog, cfgs, Hints{})
+	batched, err := RunBatch(prog, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunBatchWindowBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []uint64{1, 7, 100} {
-		e, err := newEngine(prog, cfg, Hints{})
+		e, err := newEngine(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRunBatchInvalidConfig(t *testing.T) {
 	prog := workload.BarrierLoop(2, 2, 100, 1)
 	cfgs := []arch.Config{arch.Base(), arch.Base()}
 	cfgs[1].ROBSize = 0
-	if _, err := RunBatch(prog, cfgs, Hints{}); err == nil {
+	if _, err := RunBatch(prog, cfgs); err == nil {
 		t.Fatal("invalid config accepted by RunBatch")
 	}
 }
@@ -128,13 +128,13 @@ func TestRunBatchDeadlock(t *testing.T) {
 			trace.SyncItem(trace.Event{Kind: trace.SyncThreadExit}),
 		}},
 	}
-	if _, err := RunBatch(prog, []arch.Config{arch.Base(), arch.Base()}, Hints{}); err == nil {
+	if _, err := RunBatch(prog, []arch.Config{arch.Base(), arch.Base()}); err == nil {
 		t.Fatal("self-join deadlock not detected by RunBatch")
 	}
 }
 
 func TestRunBatchEmpty(t *testing.T) {
-	res, err := RunBatch(workload.BarrierLoop(2, 2, 100, 1), nil, Hints{})
+	res, err := RunBatch(workload.BarrierLoop(2, 2, 100, 1), nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res %v, err %v", res, err)
 	}

@@ -38,7 +38,7 @@ func BenchmarkSimStepSweep(b *testing.B) {
 	}
 	dec := trace.Decode(rec)
 	space := arch.SweepSpace(8)
-	results, err := sim.RunBatch(dec, space, sim.Hints{})
+	results, err := sim.RunBatch(dec, space)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkSimStepSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunBatch(dec, space, sim.Hints{}); err != nil {
+		if _, err := sim.RunBatch(dec, space); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -151,19 +151,19 @@ type simThread struct {
 	core   int
 	stream trace.ThreadStream
 
-	// Pre-fetched items from the thread's stream (generic-stream path).
+	// Pre-fetched items from the thread's stream (Item path).
 	buf    []trace.Item
 	bufPos int
 	bufLen int
 
-	// Column-decode state (replay path): when the stream implements
-	// trace.ColumnStream, instructions are decoded straight into these
-	// struct-of-arrays batches and buf stays nil. Both paths consume the
-	// identical item sequence; only the in-memory staging differs.
-	colStream trace.ColumnStream
-	cols      *trace.Columns
-	colPos    int
-	colLen    int
+	// Column state (shared-decode path): when the stream is a
+	// *trace.DecodedCursor, instructions are read from its zero-copy
+	// column windows and buf stays nil. Both paths consume the identical
+	// item sequence; only the in-memory staging differs.
+	dec    *trace.DecodedCursor
+	cols   trace.Columns
+	colPos int
+	colLen int
 
 	created bool
 	blocked bool
@@ -264,29 +264,10 @@ type engine struct {
 	limit float64
 }
 
-// Hints are optional workload-dependent (but configuration-independent)
-// sizing hints, typically captured once by trace.Record and applied to
-// every simulation of a design-space sweep.
-type Hints struct {
-	// DataLines is the number of distinct data lines the program touches
-	// (an upper bound works); it pre-sizes the coherence directory,
-	// replacing the rehash-growth doublings every replay would otherwise
-	// repeat.
-	DataLines int
-}
-
 // Run simulates the program on the configuration and returns the result.
 // It returns an error for invalid configurations or deadlocked programs.
 func Run(p trace.Program, cfg arch.Config) (*Result, error) {
-	return RunHinted(p, cfg, Hints{})
-}
-
-// RunHinted is Run with sizing hints. Hints affect only internal table
-// pre-sizing, never results: a hinted run is bit-identical to an unhinted
-// one. If the program is a recorded trace, its captured line count is used
-// when the caller passes none.
-func RunHinted(p trace.Program, cfg arch.Config, hints Hints) (*Result, error) {
-	e, err := newEngine(p, cfg, hints)
+	e, err := newEngine(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -317,13 +298,13 @@ const batchWindow = 32768
 // type is trace.Decoded, whose cursors are zero-copy views over one shared
 // decode). Each engine is exactly the Run engine — turn boundaries only
 // pause and resume it between instructions — so every returned Result is
-// bit-identical to a serial Run/RunHinted call with the same inputs; see
+// bit-identical to a serial Run call with the same inputs; see
 // docs/ARCHITECTURE.md, "Batched sweep stepping". An invalid configuration
 // or a deadlocked program fails the whole batch.
-func RunBatch(p trace.Program, cfgs []arch.Config, hints Hints) ([]*Result, error) {
+func RunBatch(p trace.Program, cfgs []arch.Config) ([]*Result, error) {
 	engines := make([]*engine, len(cfgs))
 	for i := range cfgs {
-		e, err := newEngine(p, cfgs[i], hints)
+		e, err := newEngine(p, cfgs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -351,21 +332,21 @@ func RunBatch(p trace.Program, cfgs []arch.Config, hints Hints) ([]*Result, erro
 
 // newEngine validates the configuration and builds a ready-to-advance
 // engine over the program.
-func newEngine(p trace.Program, cfg arch.Config, hints Hints) (*engine, error) {
+func newEngine(p trace.Program, cfg arch.Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if hints.DataLines == 0 {
-		// Recorded and Decoded programs both carry their captured line
-		// bound; any program exposing one gets the pre-sizing for free.
-		if b, ok := p.(interface{ DataLineBound() int }); ok {
-			hints.DataLines = b.DataLineBound()
-		}
+	// Recorded and Decoded programs both carry their captured distinct
+	// data-line bound; it pre-sizes the coherence directory, replacing the
+	// rehash-growth doublings every replay would otherwise repeat.
+	dataLines := 0
+	if b, ok := p.(interface{ DataLineBound() int }); ok {
+		dataLines = b.DataLineBound()
 	}
 	e := &engine{
 		cfg:          cfg,
 		prog:         p,
-		hier:         cache.NewHierarchyHinted(cfg, hints.DataLines),
+		hier:         cache.NewHierarchyHinted(cfg, dataLines),
 		locks:        make(map[uint32]*simLock),
 		barriers:     make(map[uint32]*simBarrier),
 		condBarriers: make(map[uint32]*simBarrier),
@@ -390,15 +371,15 @@ func newEngine(p trace.Program, cfg arch.Config, hints Hints) (*engine, error) {
 			outstanding: make([]float64, 0, cfg.MSHRs),
 			bp:          bpred.New(cfg.BPredBytes),
 		}
-		if cs, ok := st.stream.(*trace.DecodedCursor); ok {
+		if dc, ok := st.stream.(*trace.DecodedCursor); ok {
 			// Shared-decode replay path (design-space sweeps): the cursor
 			// hands out zero-copy column windows over a trace decoded once
 			// for all configurations, so per-instruction stream cost is a
-			// couple of slice reads. Plain ReplayCursor streams stay on the
-			// Item path below — decoding packed words into one Item array
-			// beats fanning them across eight column arrays.
-			st.colStream = cs
-			st.cols = &trace.Columns{}
+			// couple of slice reads. Every other stream (a single-config
+			// ReplayCursor replay, a generator) stays on the Item path —
+			// decoding packed words into one Item array beats fanning them
+			// across eight column arrays when nothing shares the decode.
+			st.dec = dc
 		} else {
 			st.buf = make([]trace.Item, batchSize)
 		}
@@ -446,22 +427,22 @@ func (e *engine) advance(budget uint64) (bool, error) {
 			}
 			limit = cur.clock + quantum
 		}
-		if cur.colStream != nil {
+		if cur.dec != nil {
 			// Column replay path: instructions arrive in struct-of-arrays
-			// batches; sync events pause the column stream and are collected
+			// windows; sync events end a window and are collected
 			// explicitly. The consumed item sequence is identical to the
 			// Item path below — only the staging differs.
-			cols := cur.cols
+			cols := &cur.cols
 			for cur.clock <= limit && !cur.done && !cur.blocked {
 				if budget == 0 {
 					e.cur, e.limit = cur, limit
 					return false, nil
 				}
 				if cur.colPos == cur.colLen {
-					cur.colLen = cur.colStream.NextColumns(cols)
+					cur.colLen = cur.dec.NextColumns(cols)
 					cur.colPos = 0
 					if cur.colLen == 0 {
-						ev, ok := cur.colStream.TakeSync()
+						ev, ok := cur.dec.TakeSync()
 						if !ok {
 							ev = trace.Event{Kind: trace.SyncThreadExit}
 						}
@@ -484,7 +465,7 @@ func (e *engine) advance(budget uint64) (bool, error) {
 				return false, nil
 			}
 			if cur.bufPos == cur.bufLen {
-				cur.bufLen = trace.FillBatch(cur.stream, cur.buf)
+				cur.bufLen = cur.stream.NextBatch(cur.buf)
 				cur.bufPos = 0
 				if cur.bufLen == 0 {
 					e.handleSync(cur, trace.Event{Kind: trace.SyncThreadExit})

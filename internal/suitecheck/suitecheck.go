@@ -122,7 +122,7 @@ func Check(bm workload.Benchmark, seed uint64, scale float64) (*Report, error) {
 
 	// Mode 3 — config-batched: both configurations interleaved over the
 	// decoded columns in one RunBatch pass.
-	batched, err := sim.RunBatch(trace.Decode(rec), cfgs, sim.Hints{})
+	batched, err := sim.RunBatch(trace.Decode(rec), cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("suitecheck %s: batched: %w", bm.Name, err)
 	}

@@ -36,58 +36,35 @@ type syncPoint struct {
 	ev  Event
 }
 
-// Decode expands a recording into its struct-of-arrays form. Decoding is a
-// single replay pass per thread; the result is value-identical to cursor
-// decode (differentially tested).
-func Decode(rec *Recorded) *Decoded {
-	d := &Decoded{
-		name:    rec.Name(),
-		bound:   rec.DataLineBound(),
-		threads: make([]decodedThread, rec.NumThreads()),
-	}
-	for tid := range d.threads {
-		dt := &d.threads[tid]
-		// Count instructions first so every column array is allocated
-		// exactly once at full length.
-		total := 0
-		for _, w := range rec.threads[tid] {
-			if w&recCtlBit == 0 {
-				total++
-			} else if (w&recCtlMask)>>recCtlShift == ctlWide {
-				total++
-			}
-		}
-		// The count pass sees the data words of two-word sequences
-		// (sync-ext, set-pc-ext, wide) as arbitrary bits, so it may
-		// over-count — harmless, the arrays are sliced to the decoded
-		// length below — but it can never under-count: every real
-		// instruction word is counted regardless of what precedes it.
-		dt.cols = *NewColumns(total)
-		cur := rec.Replay(tid)
-		scratch := NewColumns(1) // tail probe once the window is exhausted
-		pos := 0
-		for {
-			if window := dt.cols.slice(pos, total); window.Cap() > 0 {
-				n := cur.NextColumns(&window)
-				pos += n
-				if n == window.Cap() {
-					continue
-				}
-			} else if cur.NextColumns(scratch) > 0 {
-				panic("trace: decoded column under-count")
-			}
-			ev, ok := cur.TakeSync()
-			if !ok {
-				break
-			}
-			dt.syncs = append(dt.syncs, syncPoint{pos: pos, ev: ev})
-		}
-		dt.cols = dt.cols.slice(0, pos)
-	}
-	return d
+// Columns is a struct-of-arrays run of decoded instructions: all field
+// slices share one length, and entry i across the slices describes the
+// i-th instruction. Synchronization events are not represented in columns;
+// they end a DecodedCursor's column window (see NextColumns).
+type Columns struct {
+	PC       []uint64
+	Addr     []uint64 // data address; zero for non-memory classes
+	Class    []Class
+	Dst      []int8 // destination register, -1 if none
+	Src1     []int8
+	Src2     []int8
+	BranchID []uint16
+	Taken    []bool
 }
 
-// slice returns a view of the first [lo, hi) entries of every column.
+func newColumns(n int) Columns {
+	return Columns{
+		PC:       make([]uint64, n),
+		Addr:     make([]uint64, n),
+		Class:    make([]Class, n),
+		Dst:      make([]int8, n),
+		Src1:     make([]int8, n),
+		Src2:     make([]int8, n),
+		BranchID: make([]uint16, n),
+		Taken:    make([]bool, n),
+	}
+}
+
+// slice returns a view of entries [lo, hi) of every column.
 func (c *Columns) slice(lo, hi int) Columns {
 	return Columns{
 		PC: c.PC[lo:hi], Addr: c.Addr[lo:hi],
@@ -95,6 +72,55 @@ func (c *Columns) slice(lo, hi int) Columns {
 		Src1: c.Src1[lo:hi], Src2: c.Src2[lo:hi],
 		BranchID: c.BranchID[lo:hi], Taken: c.Taken[lo:hi],
 	}
+}
+
+// Decode expands a recording into its struct-of-arrays form: one replay
+// pass per thread through ReplayCursor.NextBatch, scattering instructions
+// into the column arrays and recording where each sync event falls.
+func Decode(rec *Recorded) *Decoded {
+	d := &Decoded{
+		name:    rec.Name(),
+		bound:   rec.DataLineBound(),
+		threads: make([]decodedThread, rec.NumThreads()),
+	}
+	var buf [256]Item
+	for tid := range d.threads {
+		dt := &d.threads[tid]
+		// Count instructions first so every column array is allocated
+		// exactly once at full length. The count pass sees the data words
+		// of two-word sequences (sync-ext, set-pc-ext, wide) as arbitrary
+		// bits, so it may over-count — harmless, the arrays are sliced to
+		// the decoded length below — but it can never under-count: every
+		// real instruction word is counted regardless of what precedes it.
+		total := 0
+		for _, w := range rec.threads[tid] {
+			if w&recCtlBit == 0 || (w&recCtlMask)>>recCtlShift == ctlWide {
+				total++
+			}
+		}
+		cols := newColumns(total)
+		cur := rec.Replay(tid)
+		pos := 0
+		for n := cur.NextBatch(buf[:]); n > 0; n = cur.NextBatch(buf[:]) {
+			for i := range buf[:n] {
+				it := &buf[i]
+				if it.IsSync {
+					dt.syncs = append(dt.syncs, syncPoint{pos: pos, ev: it.Sync})
+					continue
+				}
+				if pos >= total {
+					panic("trace: decoded column under-count")
+				}
+				in := &it.Instr
+				cols.PC[pos], cols.Addr[pos], cols.Class[pos] = in.PC, in.Addr, in.Class
+				cols.Dst[pos], cols.Src1[pos], cols.Src2[pos] = in.Dst, in.Src1, in.Src2
+				cols.BranchID[pos], cols.Taken[pos] = in.BranchID, in.Taken
+				pos++
+			}
+		}
+		dt.cols = cols.slice(0, pos)
+	}
+	return d
 }
 
 // Name implements Program.
@@ -108,8 +134,8 @@ func (d *Decoded) NumThreads() int { return len(d.threads) }
 func (d *Decoded) Thread(tid int) ThreadStream { return &DecodedCursor{t: &d.threads[tid]} }
 
 // DataLineBound returns the source recording's distinct-data-line bound,
-// so hinted simulation pre-sizing works identically through the decoded
-// view.
+// so the simulator's directory pre-sizing works identically through the
+// decoded view.
 func (d *Decoded) DataLineBound() int { return d.bound }
 
 // SizeBytes returns the resident size of the decoded arrays, for callers
@@ -123,10 +149,11 @@ func (d *Decoded) SizeBytes() int64 {
 	return n
 }
 
-// DecodedCursor replays one thread of a Decoded. It implements both
-// ColumnStream (zero-copy: NextColumns repoints the caller's column slices
-// at the shared arrays) and ThreadStream/BatchStream (for consumers that
-// want Items), drawing from one position.
+// DecodedCursor replays one thread of a Decoded, both as zero-copy column
+// windows (NextColumns repoints the caller's column slices at the shared
+// arrays; TakeSync collects the event that ends each window) and as a
+// ThreadStream for consumers that want Items, drawing from one position.
+// Consumers may switch between the two views between calls.
 type DecodedCursor struct {
 	t        *decodedThread
 	pos      int // instructions consumed
@@ -134,10 +161,11 @@ type DecodedCursor struct {
 	syncTurn bool
 }
 
-// NextColumns implements ColumnStream. The returned window is a read-only
-// view of the shared decoded arrays — the caller's slice headers are
-// repointed, no data is copied — and extends to the next synchronization
-// event regardless of the caller's previous capacity.
+// NextColumns returns the instructions up to the next synchronization
+// event as a read-only view of the shared decoded arrays: the caller's
+// slice headers are repointed, no data is copied. It returns 0 while an
+// event is pending (collect it with TakeSync) and once the stream is
+// exhausted, which a false TakeSync distinguishes.
 func (c *DecodedCursor) NextColumns(cols *Columns) int {
 	if c.syncTurn {
 		return 0
@@ -155,7 +183,8 @@ func (c *DecodedCursor) NextColumns(cols *Columns) int {
 	return n
 }
 
-// TakeSync implements ColumnStream.
+// TakeSync consumes the synchronization event that ended the last column
+// window, if any.
 func (c *DecodedCursor) TakeSync() (Event, bool) {
 	if !c.syncTurn {
 		return Event{}, false
@@ -175,7 +204,7 @@ func (c *DecodedCursor) Next() (Item, bool) {
 	return buf[0], true
 }
 
-// NextBatch implements BatchStream, interleaving instructions and sync
+// NextBatch implements ThreadStream, interleaving instructions and sync
 // events exactly as a ReplayCursor would.
 func (c *DecodedCursor) NextBatch(buf []Item) int {
 	n := 0

@@ -40,10 +40,13 @@ func drainDecoded(t *testing.T, c *trace.DecodedCursor) []trace.Item {
 
 // TestDecodedMatchesReplay: the shared-decode view must be item-for-item
 // identical to cursor replay, through both the column and the Item
-// interfaces.
+// interfaces. The inputs cover the edge-case program (absolute PC
+// re-bases, wide escapes, extended syncs), suite benchmarks, and outside
+// -short a registry family entry at its registry scale, large enough to
+// cross the engine's config-batching gate.
 func TestDecodedMatchesReplay(t *testing.T) {
 	progs := []trace.Program{edgeCaseProgram()}
-	names := []string{"kmeans", "canneal"}
+	names := []string{"kmeans", "streamcluster", "canneal"}
 	if testing.Short() {
 		names = names[:1]
 	}
@@ -53,6 +56,21 @@ func TestDecodedMatchesReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		progs = append(progs, bm.Build(1, 0.05))
+	}
+	if !testing.Short() {
+		reg, err := workload.DefaultSuites()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := reg.ByName("pipeline")
+		if !ok {
+			t.Fatal("registry has no pipeline entry")
+		}
+		bm, err := e.Benchmark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, bm.Build(e.Seed, e.Scale))
 	}
 	for _, p := range progs {
 		rec, err := trace.Record(p)

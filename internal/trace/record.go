@@ -292,7 +292,7 @@ func Record(p Program) (*Recorded, error) {
 		rc := recorder{words: make([]uint64, 0, capHint)}
 		stream := p.Thread(tid)
 		for {
-			n := FillBatch(stream, buf[:])
+			n := stream.NextBatch(buf[:])
 			if n == 0 {
 				break
 			}
@@ -318,23 +318,17 @@ func Record(p Program) (*Recorded, error) {
 	return r, nil
 }
 
-// ReplayCursor decodes one thread's packed words back into Items. It
-// implements BatchStream; decoding writes straight into the caller's batch
-// buffer, so a replay pass touches one word load plus a handful of shifts
-// per instruction. Cursors are single-goroutine; create one per replaying
-// consumer.
+// ReplayCursor decodes one thread's packed words back into Items. Its
+// NextBatch is the one decoder of the packed format: Decode builds its
+// struct-of-arrays view from it. Decoding writes straight into the
+// caller's batch buffer, so a replay pass touches one word load plus a
+// handful of shifts per instruction. Cursors are single-goroutine; create
+// one per replaying consumer.
 type ReplayCursor struct {
 	words   []uint64
 	pos     int
 	prevPC  uint64
 	addrReg [2]uint64
-
-	// pendingSync holds a synchronization event NextColumns decoded but the
-	// consumer has not yet collected via TakeSync (the column interface
-	// carries instructions only). NextBatch drains it first, so the Item
-	// and column views stay position-consistent.
-	pendingSync Event
-	hasSync     bool
 }
 
 // Next implements ThreadStream.
@@ -346,19 +340,11 @@ func (c *ReplayCursor) Next() (Item, bool) {
 	return buf[0], true
 }
 
-// NextBatch implements BatchStream: it decodes up to len(buf) items. Per
-// the BatchStream contract the Sync field of instruction items is left
+// NextBatch implements ThreadStream: it decodes up to len(buf) items. Per
+// the ThreadStream contract the Sync field of instruction items is left
 // unspecified (stale buffer bytes); sync items are written in full.
 func (c *ReplayCursor) NextBatch(buf []Item) int {
 	n := 0
-	if c.hasSync {
-		if len(buf) == 0 {
-			return 0
-		}
-		buf[0] = Item{IsSync: true, Sync: c.pendingSync}
-		c.hasSync = false
-		n = 1
-	}
 	words, pos := c.words, c.pos
 	prevPC := c.prevPC
 	addrReg := c.addrReg

@@ -60,33 +60,7 @@ func BenchmarkGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for tid := 0; tid < prog.NumThreads(); tid++ {
 			s := prog.Thread(tid)
-			for trace.FillBatch(s, buf) != 0 {
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/instr")
-}
-
-// BenchmarkReplayColumns measures the struct-of-arrays decode throughput —
-// the per-instruction stream cost of the simulator's column replay path.
-func BenchmarkReplayColumns(b *testing.B) {
-	prog, total := benchProgram(b)
-	rec, err := trace.Record(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cols := trace.NewColumns(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for tid := 0; tid < rec.NumThreads(); tid++ {
-			c := rec.Replay(tid)
-			for {
-				if c.NextColumns(cols) == 0 {
-					if _, ok := c.TakeSync(); !ok {
-						break
-					}
-				}
+			for s.NextBatch(buf) != 0 {
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func drain(t *testing.T, s trace.ThreadStream, batchSizes []int) []trace.Item {
 			continue
 		}
 		buf := make([]trace.Item, batchSizes[i%len(batchSizes)])
-		n := trace.FillBatch(s, buf)
+		n := s.NextBatch(buf)
 		if n == 0 {
 			return out
 		}
@@ -34,7 +34,7 @@ func drain(t *testing.T, s trace.ThreadStream, batchSizes []int) []trace.Item {
 	}
 }
 
-// itemsEqual compares items under the BatchStream contract: the Sync field
+// itemsEqual compares items under the ThreadStream contract: the Sync field
 // of instruction items is unspecified.
 func itemsEqual(a, b trace.Item) bool {
 	if a.IsSync != b.IsSync {
@@ -197,7 +197,7 @@ func TestConcurrentReplay(t *testing.T) {
 				var got count
 				s := rec.Thread(tid)
 				for {
-					n := trace.FillBatch(s, buf)
+					n := s.NextBatch(buf)
 					if n == 0 {
 						break
 					}

@@ -13,12 +13,11 @@
 //
 // The package also implements the record-once/replay-many trace subsystem:
 // Record packs a Program into a compact word stream (Recorded) that any
-// number of cursors replay concurrently — as Items (NextBatch), as
-// struct-of-arrays columns (NextColumns), or through a fully decoded
-// shared view (Decode) — plus a versioned persistence format. The packed
-// encoding and the file layout are specified normatively in
-// docs/TRACE_FORMAT.md; change them only per that document's evolution
-// checklist.
+// number of cursors replay concurrently — as Items (NextBatch), or through
+// a fully decoded struct-of-arrays view shared by a sweep (Decode) — plus
+// a versioned persistence format. The packed encoding and the file layout
+// are specified normatively in docs/TRACE_FORMAT.md; change them only per
+// that document's evolution checklist.
 package trace
 
 import "fmt"
@@ -181,46 +180,26 @@ func InstrItem(in Instr) Item { return Item{Instr: in} }
 // SyncItem wraps an event as an Item.
 func SyncItem(e Event) Item { return Item{IsSync: true, Sync: e} }
 
-// ThreadStream yields the items of one thread in order. Next returns false
-// once the stream is exhausted; a well-formed stream ends with a
-// SyncThreadExit event as its last item.
+// ThreadStream yields the items of one thread in order; a well-formed
+// stream ends with a SyncThreadExit event as its last item.
+//
+// NextBatch fills buf from the front and returns the number of items
+// written, in [0, len(buf)]. A return of 0 (for len(buf) > 0) means the
+// stream is exhausted; short but non-zero returns are allowed at internal
+// boundaries and callers must keep refilling. Filling caller-provided
+// buffers is what keeps the profiler and simulator hot paths free of one
+// interface call and one Item copy per dynamic instruction. For
+// instruction items (IsSync false) the Sync field is unspecified:
+// implementations may leave stale bytes from earlier buffer contents
+// rather than clear it, so consumers must gate on IsSync, as the profiler
+// and simulator do.
+//
+// Next returns one item, or false once the stream is exhausted. It draws
+// from the same stream position as NextBatch, so the two interleave
+// consistently.
 type ThreadStream interface {
 	Next() (Item, bool)
-}
-
-// BatchStream is a ThreadStream that can fill caller-provided buffers,
-// eliminating one interface call and one Item copy per dynamic instruction
-// on the profiler and simulator hot paths. NextBatch fills buf from the
-// front and returns the number of items written, in [0, len(buf)].
-// A return of 0 (for len(buf) > 0) means the stream is exhausted; short
-// but non-zero returns are allowed at internal boundaries and callers must
-// keep refilling. Items returned by NextBatch and Next interleave
-// consistently: both draw from the same stream position.
-//
-// For instruction items (IsSync false) the Sync field is unspecified:
-// implementations may leave stale bytes from earlier buffer contents
-// rather than clear it. Consumers must gate on IsSync, as the profiler and
-// simulator do.
-type BatchStream interface {
-	ThreadStream
 	NextBatch(buf []Item) int
-}
-
-// FillBatch fills buf from s, batching natively when s implements
-// BatchStream and falling back to one Next call per item otherwise. The
-// return contract matches BatchStream.NextBatch.
-func FillBatch(s ThreadStream, buf []Item) int {
-	if bs, ok := s.(BatchStream); ok {
-		return bs.NextBatch(buf)
-	}
-	for i := range buf {
-		it, ok := s.Next()
-		if !ok {
-			return i
-		}
-		buf[i] = it
-	}
-	return len(buf)
 }
 
 // Program is a restartable multithreaded workload. Thread(tid) must return a
@@ -254,7 +233,7 @@ func (s *SliceStream) Next() (Item, bool) {
 	return it, true
 }
 
-// NextBatch implements BatchStream.
+// NextBatch implements ThreadStream.
 func (s *SliceStream) NextBatch(buf []Item) int {
 	n := copy(buf, s.items[s.pos:])
 	s.pos += n

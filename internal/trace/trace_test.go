@@ -82,12 +82,12 @@ func TestSliceStreamExhaustion(t *testing.T) {
 	}
 }
 
-// batchItems drains a stream via FillBatch with the given buffer size.
+// batchItems drains a stream via NextBatch with the given buffer size.
 func batchItems(s ThreadStream, bufSize int) []Item {
 	var out []Item
 	buf := make([]Item, bufSize)
 	for {
-		n := FillBatch(s, buf)
+		n := s.NextBatch(buf)
 		if n == 0 {
 			return out
 		}
@@ -95,13 +95,9 @@ func batchItems(s ThreadStream, bufSize int) []Item {
 	}
 }
 
-// nextStream hides a stream's NextBatch so FillBatch exercises the legacy
-// one-item shim.
-type nextStream struct{ s ThreadStream }
-
-func (n *nextStream) Next() (Item, bool) { return n.s.Next() }
-
-func TestFillBatchMatchesNext(t *testing.T) {
+// TestSliceStreamBatchMatchesNext: draining through NextBatch at any
+// buffer size yields the item sequence Next does.
+func TestSliceStreamBatchMatchesNext(t *testing.T) {
 	items := []Item{
 		InstrItem(Instr{Class: IntALU, Dst: 1}),
 		InstrItem(Instr{Class: Load, Addr: 0x40, Dst: 2, Src1: 1}),
@@ -119,19 +115,13 @@ func TestFillBatchMatchesNext(t *testing.T) {
 		want = append(want, it)
 	}
 	for _, bufSize := range []int{1, 2, 3, 16} {
-		for _, legacy := range []bool{false, true} {
-			var s ThreadStream = NewSliceStream(items)
-			if legacy {
-				s = &nextStream{s: s}
-			}
-			got := batchItems(s, bufSize)
-			if len(got) != len(want) {
-				t.Fatalf("bufSize %d legacy %v: got %d items, want %d", bufSize, legacy, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("bufSize %d legacy %v: item %d = %+v, want %+v", bufSize, legacy, i, got[i], want[i])
-				}
+		got := batchItems(NewSliceStream(items), bufSize)
+		if len(got) != len(want) {
+			t.Fatalf("bufSize %d: got %d items, want %d", bufSize, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("bufSize %d: item %d = %+v, want %+v", bufSize, i, got[i], want[i])
 			}
 		}
 	}

@@ -70,9 +70,9 @@ type threadStream struct {
 	genv blockGen
 }
 
-// NextBatch implements trace.BatchStream: it fills buf with generated
-// instructions and sync events without the per-item interface dispatch of
-// Next. Compute segments are filled in tight per-block runs.
+// NextBatch implements trace.ThreadStream: it fills buf with generated
+// instructions and sync events, filling compute segments in tight
+// per-block runs.
 func (s *threadStream) NextBatch(buf []trace.Item) int {
 	n := 0
 	for n < len(buf) {
@@ -103,26 +103,11 @@ func (s *threadStream) NextBatch(buf []trace.Item) int {
 
 // Next implements trace.ThreadStream.
 func (s *threadStream) Next() (trace.Item, bool) {
-	for {
-		if s.gen != nil {
-			if !s.gen.done() {
-				return trace.InstrItem(s.gen.next()), true
-			}
-			s.gen = nil
-		}
-		if s.idx >= len(s.segs) {
-			return trace.Item{}, false
-		}
-		seg := s.segs[s.idx]
-		s.idx++
-		if seg.isSync {
-			return trace.SyncItem(seg.ev), true
-		}
-		if seg.n > 0 {
-			s.genv.init(seg.block, s.tid, seg.n, seg.seed)
-			s.gen = &s.genv
-		}
+	var buf [1]trace.Item
+	if s.NextBatch(buf[:]) == 0 {
+		return trace.Item{}, false
 	}
+	return buf[0], true
 }
 
 // Builder assembles a Program thread by thread.

@@ -404,28 +404,20 @@ func (g *blockGen) genAddr() uint64 {
 }
 
 // fill emits up to len(buf) instructions into buf and returns the count
-// written; it is the batch counterpart of next, generating in place
-// instead of copying a returned value per item.
+// written, generating in place.
 func (g *blockGen) fill(buf []trace.Item) int {
 	n := len(buf)
 	if g.remaining < n {
 		n = g.remaining
 	}
 	for i := range buf[:n] {
-		// Only IsSync is reset: per the BatchStream contract the Sync
+		// Only IsSync is reset: per the ThreadStream contract the Sync
 		// field of instruction items is unspecified, which saves a full
 		// Item clear per generated instruction.
 		buf[i].IsSync = false
 		g.emit(&buf[i].Instr)
 	}
 	return n
-}
-
-// next emits the next instruction. Callers must check done() first.
-func (g *blockGen) next() trace.Instr {
-	var in trace.Instr
-	g.emit(&in)
-	return in
 }
 
 // emit generates the next instruction into in, overwriting every Instr

@@ -435,10 +435,12 @@ func parsecBodytrack() Benchmark {
 func parsecStreamcluster() Benchmark {
 	// streamcluster (Parsec flavour): heavily barrier-synchronized
 	// (Table III: 13003 barriers) with a few critical sections and condvars.
+	// Named apart from Rodinia's streamcluster: benchmarks are resolved and
+	// cached by name, so a shared name would hide one of the two programs.
 	return Benchmark{
-		Name: "streamcluster", Kind: Parsec, Input: "medium",
+		Name: "streamcluster-parsec", Kind: Parsec, Input: "medium",
 		Build: func(seed uint64, scale float64) *Program {
-			b := NewBuilder("streamcluster", 4, seed).SetScale(scale)
+			b := NewBuilder("streamcluster-parsec", 4, seed).SetScale(scale)
 			b.Compute(0, Block{N: 500, Mix: MixInt(), PrivateBytes: 64 * KB})
 			b.CreateWorkers()
 			workers := b.Workers()

@@ -26,6 +26,26 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// TestSuiteNamesUnique: benchmarks are resolved and cached by name, so
+// two builtins sharing one would make one of them unreachable and let the
+// engine serve one program's results for the other.
+func TestSuiteNamesUnique(t *testing.T) {
+	seen := make(map[string]SuiteKind)
+	for _, b := range Suite() {
+		if kind, ok := seen[b.Name]; ok {
+			t.Errorf("benchmark name %q used by suites %v and %v", b.Name, kind, b.Kind)
+		}
+		seen[b.Name] = b.Kind
+	}
+}
+
+// next emits one instruction from g; callers check done() first.
+func (g *blockGen) next() trace.Instr {
+	var in trace.Instr
+	g.emit(&in)
+	return in
+}
+
 func TestSuiteValidates(t *testing.T) {
 	for _, b := range Suite() {
 		p := b.Build(1, 0.05)
@@ -301,16 +321,16 @@ func TestTotalInstructionsPositive(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate(b *testing.B) {
+// BenchmarkBuildDrain measures building a suite program and draining
+// every thread through NextBatch, as Record and the profiler do.
+func BenchmarkBuildDrain(b *testing.B) {
 	bm, _ := ByName("backprop")
+	buf := make([]trace.Item, 256)
 	for i := 0; i < b.N; i++ {
 		p := bm.Build(1, 0.1)
 		for tid := 0; tid < p.NumThreads(); tid++ {
 			s := p.Thread(tid)
-			for {
-				if _, ok := s.Next(); !ok {
-					break
-				}
+			for s.NextBatch(buf) != 0 {
 			}
 		}
 	}
@@ -338,10 +358,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 				want = append(want, it)
 			}
 			for _, bufSize := range []int{1, 7, 256} {
-				bs, ok := p.Thread(tid).(trace.BatchStream)
-				if !ok {
-					t.Fatalf("%s: thread stream does not implement BatchStream", name)
-				}
+				bs := p.Thread(tid)
 				var got []trace.Item
 				buf := make([]trace.Item, bufSize)
 				for {
@@ -356,7 +373,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 				}
 				for i := range got {
 					// Sync is unspecified on instruction items (the
-					// BatchStream contract), so compare per kind.
+					// ThreadStream contract), so compare per kind.
 					same := got[i].IsSync == want[i].IsSync
 					if same && want[i].IsSync {
 						same = got[i].Sync == want[i].Sync

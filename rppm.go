@@ -43,7 +43,10 @@ type (
 	// Config is a multicore processor configuration (pipeline, caches,
 	// branch predictor, frequency).
 	Config = arch.Config
-	// Program is a restartable multithreaded workload.
+	// Program is a restartable multithreaded workload. Each thread is a
+	// trace.ThreadStream, so a custom Program's streams implement both Next
+	// and NextBatch (the batch fill the profiler and simulator drain);
+	// trace.SliceStream shows the pair over a fixed item slice.
 	Program = trace.Program
 	// WorkloadProfile is a microarchitecture-independent workload profile.
 	WorkloadProfile = profiler.Profile

@@ -46,7 +46,7 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 echo "== micro-benchmarks (-benchtime $MICRO_TIME -count $COUNT)" >&2
-go test -run XXX -bench 'BenchmarkProfilerInstr|BenchmarkSimStep|BenchmarkSimStepSweep|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkUpsert|BenchmarkRecord|BenchmarkReplay|BenchmarkReplayColumns|BenchmarkDecodeShared|BenchmarkGenerate|BenchmarkServePredictWarm|BenchmarkServePredictCold|BenchmarkServePredictColdPersisted|BenchmarkServeSweepWarm|BenchmarkPredictSweep' \
+go test -run XXX -bench 'BenchmarkProfilerInstr|BenchmarkSimStep|BenchmarkSimStepSweep|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkUpsert|BenchmarkRecord|BenchmarkReplay|BenchmarkDecodeShared|BenchmarkGenerate|BenchmarkServePredictWarm|BenchmarkServePredictCold|BenchmarkServePredictColdPersisted|BenchmarkServeSweepWarm|BenchmarkPredictSweep' \
   -benchmem -benchtime "$MICRO_TIME" -count "$COUNT" \
   ./internal/profiler ./internal/sim ./internal/cache ./internal/hashmap ./internal/trace ./internal/server ./internal/core \
   | tee "$TMP/micro.txt" >&2

@@ -50,7 +50,6 @@ ROWS = [
     ("BenchmarkGenerate",        "workload stream generation",           "ns_per_instr", nsinstr),
     ("BenchmarkRecord",          "trace capture (generate + pack)",      "ns_per_instr", nsinstr),
     ("BenchmarkReplay",          "trace replay decode (items)",          "ns_per_instr", nsinstr),
-    ("BenchmarkReplayColumns",   "trace replay decode (columns)",        "ns_per_instr", nsinstr),
     ("BenchmarkDecodeShared",    "shared sweep decode (once per sweep)", "ns_per_instr", nsinstr),
     ("BenchmarkSweep16",         "16-config sweep (record+replay)",      "ms_per_config", msconf),
     ("BenchmarkSweep16Regen",    "16-config sweep (regeneration)",       "ms_per_config", msconf),
