@@ -97,7 +97,7 @@ func diagnose(w io.Writer, bm workload.Benchmark) error {
 		fmt.Fprintf(w, "    pred: N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
 			ps.Instr, ps.Base, ps.Branch, ps.ICache, ps.MemL2, ps.MemLLC, ps.MemDRAM, ps.Sync)
 		agg := prof.Threads[t].Aggregate()
-		dg := interval.Diagnose(agg, &cfg)
+		_, dg := interval.PredictEpochOpts(agg, &cfg, interval.ModelOptions{})
 		fmt.Fprintf(w, "    diag: Deff=%.2f cres=%.1f mL1D=%.3f mL2=%.3f mLLC=%.3f mL1I=%.3f MLP=%.2f(misses %d) brMiss=%.3f loads=%d\n",
 			dg.Deff, dg.Cres, dg.MissRate.L1D, dg.MissRate.L2, dg.MissRate.LLC, dg.MissRate.L1I, dg.MLP, dg.MLPMisses, dg.BranchMiss, agg.Loads)
 		// implied sim MLP

@@ -401,19 +401,13 @@ func run(s *rppm.Session, cmd, benchName string, cfg arch.Config, scale float64,
 
 	case "compare":
 		var (
-			simRes       *rppm.SimResult
-			pred         *rppm.Prediction
-			mainC, critC float64
+			simRes *rppm.SimResult
+			pred   *rppm.Prediction
 		)
-		err := s.ForEach(ctx, 4, func(ctx context.Context, i int) (err error) {
-			switch i {
-			case 0:
+		err := s.ForEach(ctx, 2, func(ctx context.Context, i int) (err error) {
+			if i == 0 {
 				simRes, err = s.Simulate(ctx, bench, seed, scale, cfg)
-			case 1:
-				mainC, err = s.PredictMain(ctx, bench, seed, scale, cfg)
-			case 2:
-				critC, err = s.PredictCrit(ctx, bench, seed, scale, cfg)
-			case 3:
+			} else {
 				pred, err = s.Predict(ctx, bench, seed, scale, cfg)
 			}
 			return err
@@ -421,6 +415,7 @@ func run(s *rppm.Session, cmd, benchName string, cfg arch.Config, scale float64,
 		if err != nil {
 			return err
 		}
+		mainC, critC := pred.Main(), pred.Crit()
 		e := func(p float64) string {
 			return fmt.Sprintf("%+.1f%%", 100*(p-simRes.Cycles)/simRes.Cycles)
 		}

@@ -104,7 +104,7 @@ type SiteRecord struct {
 
 // ExportSites returns every recorded site in ascending id order. TakenP
 // values are carried verbatim, so a profile rebuilt from the records via
-// ProfileFromSites answers LinearEntropy/MissRate/Mispredicts bit-identically:
+// ProfileFromSites answers LinearEntropy/MissRate/Branches bit-identically:
 // those accessors accumulate in sortedSites (ascending-id) order, which is
 // independent of the site table's slot layout.
 func (p *Profile) ExportSites() []SiteRecord {
@@ -279,10 +279,4 @@ func (p *Profile) MissRate(predictorBytes int) float64 {
 		return 0
 	}
 	return acc / total
-}
-
-// Mispredicts predicts the absolute number of mispredictions in the profiled
-// region for the given predictor budget.
-func (p *Profile) Mispredicts(predictorBytes int) float64 {
-	return p.MissRate(predictorBytes) * float64(p.Branches())
 }

@@ -22,9 +22,10 @@
 // error-accumulation structure that makes multithreaded prediction hard
 // (Table I).
 //
-// The package also provides the paper's two naive baselines: MAIN (model
-// the main thread only) and CRIT (model every thread independently, take
-// the slowest), used as comparison points in Figure 4.
+// The paper's two naive baselines, MAIN (model the main thread only) and
+// CRIT (model every thread independently, take the slowest), are phase 1
+// without phase 2: every Prediction carries them (Prediction.Main and
+// Prediction.Crit), and Figure 4 compares against them.
 package core
 
 import (
@@ -211,7 +212,7 @@ func PredictOpts(prof *profiler.Profile, cfg arch.Config, opts interval.ModelOpt
 		stacks := make([]interval.Stack, len(tp.Epochs))
 		active := make([]float64, len(tp.Epochs))
 		for i, ep := range tp.Epochs {
-			stacks[i] = interval.PredictEpochOpts(ep, &cfg, opts)
+			stacks[i], _ = interval.PredictEpochOpts(ep, &cfg, opts)
 			active[i] = stacks[i].ActiveCycles()
 		}
 		epochStacks[t] = stacks
@@ -436,34 +437,41 @@ func PredictOpts(prof *profiler.Profile, cfg arch.Config, opts interval.ModelOpt
 	return pred, nil
 }
 
-// PredictMain is the MAIN baseline: the single-threaded interval model
-// applied to the main thread's whole profile, used as the prediction for
-// overall application execution time.
-func PredictMain(prof *profiler.Profile, cfg arch.Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if len(prof.Threads) == 0 {
-		return 0, fmt.Errorf("core: empty profile for %q", prof.Name)
-	}
-	st := interval.PredictThread(prof.Threads[0], &cfg)
-	return st.ActiveCycles(), nil
+// Main is the MAIN baseline: the single-threaded interval model applied to
+// the main thread's whole profile, used as the prediction for overall
+// application execution time. It is the main thread's summed phase-1
+// stack, not its phase-2 active time.
+func (p *Prediction) Main() float64 {
+	return p.Threads[0].Stack.ActiveCycles()
 }
 
-// PredictCrit is the CRIT baseline: the single-threaded model applied to
-// every thread; the slowest (critical) thread's time is the prediction.
-func PredictCrit(prof *profiler.Profile, cfg arch.Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if len(prof.Threads) == 0 {
-		return 0, fmt.Errorf("core: empty profile for %q", prof.Name)
-	}
+// Crit is the CRIT baseline: the single-threaded model applied to every
+// thread; the slowest (critical) thread's summed phase-1 stack is the
+// prediction.
+func (p *Prediction) Crit() float64 {
 	crit := 0.0
-	for _, tp := range prof.Threads {
-		if c := interval.PredictThread(tp, &cfg).ActiveCycles(); c > crit {
+	for i := range p.Threads {
+		if c := p.Threads[i].Stack.ActiveCycles(); c > crit {
 			crit = c
 		}
 	}
-	return crit, nil
+	return crit
+}
+
+// PredictMain runs Predict and returns its MAIN baseline.
+func PredictMain(prof *profiler.Profile, cfg arch.Config) (float64, error) {
+	pred, err := Predict(prof, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return pred.Main(), nil
+}
+
+// PredictCrit runs Predict and returns its CRIT baseline.
+func PredictCrit(prof *profiler.Profile, cfg arch.Config) (float64, error) {
+	pred, err := Predict(prof, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return pred.Crit(), nil
 }

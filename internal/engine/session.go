@@ -50,20 +50,11 @@ type simKey struct {
 	Cfg arch.Config
 }
 
-type predKind int
-
-const (
-	predRPPM predKind = iota
-	predMain
-	predCrit
-)
-
 type predKey struct {
 	Key
 	Cfg   arch.Config
 	Opts  profiler.Options
 	Model interval.ModelOptions
-	Kind  predKind
 }
 
 // SessionOptions configure a session's resident cache. The zero value is
@@ -1092,36 +1083,10 @@ func (s *Session) Predict(ctx context.Context, bm workload.Benchmark, seed uint6
 // options: the ablation studies disable individual profiling or model
 // mechanisms. Each options combination is cached independently.
 func (s *Session) PredictModel(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config, profOpts profiler.Options, modelOpts interval.ModelOptions) (*core.Prediction, error) {
-	v, err := s.predict(ctx, bm, seed, scale, cfg, predRPPM, profOpts, modelOpts)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Prediction), nil
-}
-
-// PredictMain returns the MAIN-baseline predicted cycles.
-func (s *Session) PredictMain(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config) (float64, error) {
-	v, err := s.predict(ctx, bm, seed, scale, cfg, predMain, s.eng.opts.Profiler, interval.ModelOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-// PredictCrit returns the CRIT-baseline predicted cycles.
-func (s *Session) PredictCrit(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config) (float64, error) {
-	v, err := s.predict(ctx, bm, seed, scale, cfg, predCrit, s.eng.opts.Profiler, interval.ModelOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func (s *Session) predict(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config, kind predKind, profOpts profiler.Options, modelOpts interval.ModelOptions) (any, error) {
 	ctx, sp := obs.StartSpan(ctx, "predict")
 	sp.Annotate("config", cfg.Name)
 	computed := false
-	v, err := s.do(ctx, predKey{Key{bm.Name, seed, scale}, cfg, profOpts, modelOpts, kind}, func(ctx context.Context) (any, error) {
+	v, err := s.do(ctx, predKey{Key{bm.Name, seed, scale}, cfg, profOpts, modelOpts}, func(ctx context.Context) (any, error) {
 		computed = true
 		prof, unpinProf, err := s.profilePinned(ctx, bm, seed, scale, profOpts)
 		if err != nil {
@@ -1135,28 +1100,20 @@ func (s *Session) predict(ctx context.Context, bm workload.Benchmark, seed uint6
 		defer s.eng.release()
 		annotateWait(sp, wait)
 		start := time.Now()
-		var v any
-		switch kind {
-		case predMain:
-			v, err = core.PredictMain(prof, cfg)
-		case predCrit:
-			v, err = core.PredictCrit(prof, cfg)
-		default:
-			v, err = core.PredictOpts(prof, cfg, modelOpts)
-		}
+		pred, err := core.PredictOpts(prof, cfg, modelOpts)
 		if err != nil {
 			return nil, err
 		}
 		s.eng.emit(Event{Kind: EventPredict, Bench: bm.Name, Config: cfg.Name,
 			Seed: seed, Scale: scale, Duration: time.Since(start), Wait: wait})
-		return v, nil
+		return pred, nil
 	})
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	endStageSpan(sp, computed, v)
-	return v, nil
+	return v.(*core.Prediction), nil
 }
 
 // ForEach runs f(ctx, i) for every i in [0, n) concurrently, bounded only

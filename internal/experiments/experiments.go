@@ -96,21 +96,11 @@ func runBench(bm workload.Benchmark, cfg Config, target arch.Config) (*BenchRun,
 // predictAllS returns the MAIN, CRIT and RPPM predictions (in cycles) for a
 // benchmark on the target configuration, using the session's cached profile.
 func predictAllS(ctx context.Context, s *engine.Session, bm workload.Benchmark, cfg Config, target arch.Config) (mainC, critC, rppmC float64, err error) {
-	mainC, err = s.PredictMain(ctx, bm, cfg.Seed, cfg.Scale, target)
+	pred, err := s.Predict(ctx, bm, cfg.Seed, cfg.Scale, target)
 	if err != nil {
-		return
+		return 0, 0, 0, err
 	}
-	critC, err = s.PredictCrit(ctx, bm, cfg.Seed, cfg.Scale, target)
-	if err != nil {
-		return
-	}
-	pred, err2 := s.Predict(ctx, bm, cfg.Seed, cfg.Scale, target)
-	if err2 != nil {
-		err = err2
-		return
-	}
-	rppmC = pred.Cycles
-	return
+	return pred.Main(), pred.Crit(), pred.Cycles, nil
 }
 
 // signedError returns (predicted-actual)/actual.

@@ -109,24 +109,40 @@ type ModelOptions struct {
 	NoMLP bool
 }
 
-// PredictEpoch evaluates Equation 1 for one epoch profile under a target
-// configuration and returns the predicted CPI stack (Sync left at zero).
-func PredictEpoch(ep *profiler.Epoch, cfg *arch.Config) Stack {
-	return PredictEpochOpts(ep, cfg, ModelOptions{})
+// Diagnosis is the model inputs behind one PredictEpochOpts stack: the
+// quantities Equation 1 combined, for calibration tooling and tests.
+type Diagnosis struct {
+	Deff     float64
+	Cres     float64
+	MissRate struct {
+		L1D, L2, LLC float64 // LLC is the private-RD rate under LLCFromPrivateRD
+		L1I          float64
+	}
+	// MLP is the divisor applied to the DRAM component: 1 when the LLC
+	// miss rate is 0 or under NoMLP, where mlp.Compute is not called and
+	// MLPMisses stays 0.
+	MLP        float64
+	MLPMisses  int
+	BranchMiss float64
 }
 
-// PredictEpochOpts is PredictEpoch with explicit model options.
-func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) Stack {
+// PredictEpochOpts evaluates Equation 1 for one epoch profile under a
+// target configuration and model options. It returns the predicted CPI
+// stack (Sync left at zero) and the inputs it was computed from.
+func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) (Stack, Diagnosis) {
 	st := Stack{Instr: ep.Instr}
+	d := Diagnosis{MLP: 1}
 	if ep.Instr == 0 {
-		return st
+		return st, d
 	}
 
 	res := ilp.Analyze(ep.Windows, ep.Mix, cfg)
+	d.Deff, d.Cres = res.Deff, res.Cres
 	st.Base = float64(ep.Instr) / res.Deff
 
 	// Branch component: mispredictions times resolution plus refill.
-	mispredicts := ep.Branch.Mispredicts(cfg.BPredBytes)
+	d.BranchMiss = ep.Branch.MissRate(cfg.BPredBytes)
+	mispredicts := d.BranchMiss * float64(ep.Branch.Branches())
 	st.Branch = mispredicts * (res.Cres + float64(cfg.FrontendDepth))
 
 	hide := overlapWindow(cfg, res.Deff)
@@ -151,6 +167,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 		mL1 := pm.MissRate(cfg.L1D.Lines())
 		mL2 := minF(pm.MissRate(cfg.L2.Lines()), mL1)
 		mLLC := minF(gm.MissRate(cfg.LLC.Lines()), mL2)
+		d.MissRate.L1D, d.MissRate.L2, d.MissRate.LLC = mL1, mL2, mLLC
 
 		loads := float64(ep.Loads)
 		st.MemL2 = loads * (mL1 - mL2) * exposed(cfg.L2.HitLatency)
@@ -160,13 +177,13 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 			// A long-latency miss costs the full memory latency (Eq. 1):
 			// the work dispatched while the window fills is already part of
 			// the base component, so no hide term applies — only MLP.
-			mlpVal := 1.0
 			if !opts.NoMLP {
-				raw, _ := mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
+				var raw float64
+				raw, d.MLPMisses = mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
 					gm.CriticalDistance(cfg.LLC.Lines()))
-				mlpVal = effectiveMLP(raw)
+				d.MLP = effectiveMLP(raw)
 			}
-			st.MemDRAM = loads * mLLC * float64(cfg.MemLatency) / mlpVal
+			st.MemDRAM = loads * mLLC * float64(cfg.MemLatency) / d.MLP
 		}
 	}
 
@@ -177,6 +194,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 	if ep.ILineAccesses > 0 {
 		im := ep.Models().Instr
 		m1 := im.MissRate(cfg.L1I.Lines())
+		d.MissRate.L1I = m1
 		m2 := minF(im.MissRate(cfg.L2.Lines()), m1)
 		m3 := minF(im.MissRate(cfg.LLC.Lines()), m2)
 		acc := float64(ep.ILineAccesses)
@@ -190,7 +208,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 		}
 		st.ICache = raw
 	}
-	return st
+	return st, d
 }
 
 // mlpStagger is the one-time calibration constant for memory-level
@@ -206,16 +224,6 @@ const mlpStagger = 0.6
 // effectiveMLP converts ideal window MLP into achieved MLP.
 func effectiveMLP(raw float64) float64 {
 	return 1 + mlpStagger*(raw-1)
-}
-
-// PredictThread aggregates Equation 1 across all epochs of a thread profile
-// (the per-thread half of the MAIN/CRIT baselines and RPPM's phase 1).
-func PredictThread(tp *profiler.ThreadProfile, cfg *arch.Config) Stack {
-	var total Stack
-	for _, ep := range tp.Epochs {
-		total.Add(PredictEpoch(ep, cfg))
-	}
-	return total
 }
 
 func minF(a, b float64) float64 {

@@ -1,11 +1,15 @@
 package interval
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"rppm/internal/arch"
+	"rppm/internal/mlp"
 	"rppm/internal/profiler"
+	"rppm/internal/stats"
+	"rppm/internal/trace"
 	"rppm/internal/workload"
 )
 
@@ -22,11 +26,20 @@ func profileOf(t *testing.T, name string, scale float64) *profiler.Profile {
 	return p
 }
 
+// stackOf is the full model's stack for one epoch.
+func stackOf(ep *profiler.Epoch, cfg *arch.Config) Stack {
+	st, _ := PredictEpochOpts(ep, cfg, ModelOptions{})
+	return st
+}
+
 func TestEmptyEpochZeroStack(t *testing.T) {
 	cfg := arch.Base()
-	st := PredictEpoch(profiler.NewEpoch(), &cfg)
+	st, d := PredictEpochOpts(profiler.NewEpoch(), &cfg, ModelOptions{})
 	if st.ActiveCycles() != 0 || st.Instr != 0 {
 		t.Fatalf("empty epoch produced %v", st)
+	}
+	if d.MLP != 1 || d.MLPMisses != 0 {
+		t.Fatalf("empty epoch diagnosis %+v, want MLP divisor 1 and no misses", d)
 	}
 }
 
@@ -71,7 +84,7 @@ func TestBasePositiveAndBounded(t *testing.T) {
 			if ep.Instr == 0 {
 				continue
 			}
-			st := PredictEpoch(ep, &cfg)
+			st := stackOf(ep, &cfg)
 			if st.Base <= 0 {
 				t.Fatal("non-positive base for non-empty epoch")
 			}
@@ -87,8 +100,8 @@ func TestWiderCoreLowersBase(t *testing.T) {
 	prof := profileOf(t, "nn", 0.1)
 	space := arch.DesignSpace()
 	agg := prof.Threads[1].Aggregate()
-	smallest := PredictEpoch(agg, &space[0])
-	biggest := PredictEpoch(agg, &space[4])
+	smallest := stackOf(agg, &space[0])
+	biggest := stackOf(agg, &space[4])
 	if biggest.Base > smallest.Base {
 		t.Fatalf("6-wide base %v above 2-wide base %v", biggest.Base, smallest.Base)
 	}
@@ -100,8 +113,8 @@ func TestBiggerCacheLowersMemory(t *testing.T) {
 	big := arch.Base()
 	big.LLC.SizeBytes *= 8
 	agg := prof.Threads[1].Aggregate()
-	ms := PredictEpoch(agg, &small)
-	mb := PredictEpoch(agg, &big)
+	ms := stackOf(agg, &small)
+	mb := stackOf(agg, &big)
 	if mb.MemDRAM > ms.MemDRAM+1e-9 {
 		t.Fatalf("bigger LLC increased DRAM component: %v vs %v", mb.MemDRAM, ms.MemDRAM)
 	}
@@ -111,9 +124,9 @@ func TestAblationOptionsChangePrediction(t *testing.T) {
 	prof := profileOf(t, "kmeans", 0.1) // heavy sharing
 	cfg := arch.Base()
 	agg := prof.Threads[1].Aggregate()
-	full := PredictEpochOpts(agg, &cfg, ModelOptions{})
-	noGlobal := PredictEpochOpts(agg, &cfg, ModelOptions{LLCFromPrivateRD: true})
-	noMLP := PredictEpochOpts(agg, &cfg, ModelOptions{NoMLP: true})
+	full, _ := PredictEpochOpts(agg, &cfg, ModelOptions{})
+	noGlobal, _ := PredictEpochOpts(agg, &cfg, ModelOptions{LLCFromPrivateRD: true})
+	noMLP, _ := PredictEpochOpts(agg, &cfg, ModelOptions{NoMLP: true})
 	if full.ActiveCycles() == noGlobal.ActiveCycles() {
 		t.Fatal("LLCFromPrivateRD ablation had no effect on a sharing workload")
 	}
@@ -122,25 +135,11 @@ func TestAblationOptionsChangePrediction(t *testing.T) {
 	}
 }
 
-func TestPredictThreadEqualsEpochSum(t *testing.T) {
-	prof := profileOf(t, "lud", 0.05)
-	cfg := arch.Base()
-	tp := prof.Threads[2]
-	whole := PredictThread(tp, &cfg)
-	var sum Stack
-	for _, ep := range tp.Epochs {
-		sum.Add(PredictEpoch(ep, &cfg))
-	}
-	if math.Abs(whole.ActiveCycles()-sum.ActiveCycles()) > 1e-6 {
-		t.Fatal("PredictThread disagrees with summed epochs")
-	}
-}
-
 func TestDiagnoseConsistent(t *testing.T) {
 	prof := profileOf(t, "nw", 0.05)
 	cfg := arch.Base()
 	agg := prof.Threads[1].Aggregate()
-	d := Diagnose(agg, &cfg)
+	_, d := PredictEpochOpts(agg, &cfg, ModelOptions{})
 	if d.Deff <= 0 || d.Deff > float64(cfg.DispatchWidth) {
 		t.Fatalf("Deff = %v", d.Deff)
 	}
@@ -165,52 +164,118 @@ func TestEffectiveMLP(t *testing.T) {
 	}
 }
 
-// TestDiagnoseMatchesPredictEpoch: Diagnose reads the same memoized
-// models PredictEpoch does, so its miss rates and MLP rebuild
-// PredictEpoch's memory components bit for bit, and it leaves the memo
-// PredictEpoch built in place.
-func TestDiagnoseMatchesPredictEpoch(t *testing.T) {
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, name := range []string{"nw", "kmeans", "streamcluster"} {
+// explainStack requires st to rebuild bit for bit from d: Base, Branch,
+// MemL2, MemLLC and MemDRAM. Where no MLP divisor applies (LLC miss rate
+// 0, or NoMLP) d must report the divisor 1 and no sampled misses. It
+// reports whether an MLP divisor applied.
+func explainStack(t *testing.T, where string, ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions, st Stack, d Diagnosis) bool {
+	t.Helper()
+	at := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s %s %+v: %s %v, diagnosis gives %v", where, cfg.Name, opts, what, got, want)
+		}
+	}
+	at("base", st.Base, float64(ep.Instr)/d.Deff)
+	mispredicts := d.BranchMiss * float64(ep.Branch.Branches())
+	at("branch", st.Branch, mispredicts*(d.Cres+float64(cfg.FrontendDepth)))
+
+	mr := d.MissRate
+	hide := overlapWindow(cfg, d.Deff)
+	exposed := func(lat int) float64 { return math.Max(float64(lat)-hide, 0) }
+	loads := float64(ep.Loads)
+	at("L2", st.MemL2, loads*(mr.L1D-mr.L2)*exposed(cfg.L2.HitLatency))
+	at("LLC", st.MemLLC, loads*(mr.L2-mr.LLC)*exposed(cfg.LLC.HitLatency))
+	dram := 0.0
+	if mr.LLC > 0 {
+		dram = loads * mr.LLC * float64(cfg.MemLatency) / d.MLP
+	}
+	at("DRAM", st.MemDRAM, dram)
+
+	if mr.LLC == 0 || opts.NoMLP {
+		if d.MLP != 1 || d.MLPMisses != 0 {
+			t.Fatalf("%s %s %+v: no MLP applied, but diagnosis reports MLP %v over %d misses",
+				where, cfg.Name, opts, d.MLP, d.MLPMisses)
+		}
+		return false
+	}
+	if d.MLP < 1 {
+		t.Fatalf("%s %s %+v: MLP divisor %v below 1", where, cfg.Name, opts, d.MLP)
+	}
+	return true
+}
+
+// TestDiagnosisExplainsStack: the Diagnosis PredictEpochOpts returns is
+// the input set its stack was computed from, so the stack rebuilds bit for
+// bit from it, under the full model and under each ablation, on every
+// epoch of four benchmarks (vips has loading epochs without LLC misses)
+// and on coldWindowEpoch, where the divisor that applied (1) and the
+// window's raw MLP differ.
+func TestDiagnosisExplainsStack(t *testing.T) {
+	optSets := []ModelOptions{{}, {LLCFromPrivateRD: true}, {NoMLP: true}}
+	var noLLCMiss, mlpApplied int
+	for _, name := range []string{"nw", "kmeans", "streamcluster", "vips"} {
 		prof := profileOf(t, name, 0.05)
 		for _, cfg := range arch.DesignSpace() {
 			cfg := cfg
-			for tid, tp := range prof.Threads {
-				for ei, ep := range tp.Epochs {
-					if ep.Instr == 0 {
-						continue
-					}
-					st := PredictEpoch(ep, &cfg)
-					models := ep.Models()
-					d := Diagnose(ep, &cfg)
-					if ep.Models() != models {
-						t.Fatalf("%s t%d e%d: Diagnose replaced the epoch's models", name, tid, ei)
-					}
-					if !same(st.Base, float64(ep.Instr)/d.Deff) {
-						t.Fatalf("%s t%d e%d %s: base %v, Diagnose's Deff gives %v", name, tid, ei, cfg.Name, st.Base, float64(ep.Instr)/d.Deff)
-					}
-					if ep.ILineAccesses > 0 && !same(d.MissRate.L1I, models.Instr.MissRate(cfg.L1I.Lines())) {
-						t.Fatalf("%s t%d e%d %s: L1I miss rate %v differs from the memoized model's", name, tid, ei, cfg.Name, d.MissRate.L1I)
-					}
-					if ep.Loads == 0 {
-						continue
-					}
-					hide := overlapWindow(&cfg, d.Deff)
-					exposed := func(lat int) float64 { return math.Max(float64(lat)-hide, 0) }
-					loads := float64(ep.Loads)
-					mr := d.MissRate
-					l2 := loads * (mr.L1D - mr.L2) * exposed(cfg.L2.HitLatency)
-					llc := loads * (mr.L2 - mr.LLC) * exposed(cfg.LLC.HitLatency)
-					dram := 0.0
-					if mr.LLC > 0 {
-						dram = loads * mr.LLC * float64(cfg.MemLatency) / effectiveMLP(d.MLP)
-					}
-					if !same(st.MemL2, l2) || !same(st.MemLLC, llc) || !same(st.MemDRAM, dram) {
-						t.Fatalf("%s t%d e%d %s: stack L2/LLC/DRAM %v/%v/%v, Diagnose's miss rates give %v/%v/%v",
-							name, tid, ei, cfg.Name, st.MemL2, st.MemLLC, st.MemDRAM, l2, llc, dram)
+			for _, opts := range optSets {
+				for tid, tp := range prof.Threads {
+					for ei, ep := range tp.Epochs {
+						if ep.Instr == 0 {
+							continue
+						}
+						st, d := PredictEpochOpts(ep, &cfg, opts)
+						where := fmt.Sprintf("%s t%d e%d", name, tid, ei)
+						if explainStack(t, where, ep, &cfg, opts, st, d) {
+							mlpApplied++
+						} else if ep.Loads > 0 && d.MissRate.LLC == 0 {
+							noLLCMiss++
+						}
 					}
 				}
 			}
 		}
 	}
+	if noLLCMiss == 0 || mlpApplied == 0 {
+		t.Fatalf("coverage: %d loading epochs without LLC misses, %d with MLP applied; want both > 0",
+			noLLCMiss, mlpApplied)
+	}
+
+	ep := coldWindowEpoch()
+	cfg := arch.Base()
+	if raw, _ := mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs, 0); raw <= 1 {
+		t.Fatalf("cold window's raw MLP %v; the case needs overlapping sampled misses", raw)
+	}
+	for _, opts := range optSets {
+		st, d := PredictEpochOpts(ep, &cfg, opts)
+		if d.MissRate.LLC != 0 {
+			t.Fatalf("cold-window epoch: LLC miss rate %v, want 0 from all-hit histograms", d.MissRate.LLC)
+		}
+		explainStack(t, "cold-window epoch", ep, &cfg, opts, st, d)
+	}
+}
+
+// coldWindowEpoch is an epoch whose sampled window holds independent
+// cold loads while its reuse-distance histograms say every load hits: its
+// LLC miss rate is 0, yet mlp.Compute finds overlapping misses in it.
+func coldWindowEpoch() *profiler.Epoch {
+	const n = 64
+	ep := profiler.NewEpoch()
+	w := profiler.Window{
+		Classes:  make([]trace.Class, n),
+		Dep1:     make([]int16, n),
+		Dep2:     make([]int16, n),
+		GlobalRD: make([]int64, n),
+		IsLoad:   make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		w.Classes[i], w.Dep1[i], w.Dep2[i] = trace.Load, -1, -1
+		w.GlobalRD[i], w.IsLoad[i] = stats.Infinite, true
+	}
+	ep.Windows = []profiler.Window{w}
+	ep.Instr, ep.Loads = n, n
+	ep.Mix[trace.Load] = n
+	ep.PrivateRD.AddN(1, n)
+	ep.GlobalRD.AddN(1, n)
+	return ep
 }

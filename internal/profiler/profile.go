@@ -124,8 +124,8 @@ func NewEpoch() *Epoch {
 // DataAccesses returns the number of data memory accesses in the epoch.
 func (e *Epoch) DataAccesses() uint64 { return e.Loads + e.Stores }
 
-// Merge folds other into e (used to build whole-thread aggregate profiles
-// for the MAIN and CRIT baselines).
+// Merge folds other into e (used to build whole-thread aggregate profiles,
+// which rppm-diag inspects; predictions evaluate epochs one by one).
 func (e *Epoch) Merge(other *Epoch) {
 	if other == nil {
 		return

@@ -151,35 +151,24 @@ func configByName(name string) (arch.Config, error) {
 // BuildPredict computes a PredictResponse through the session — the single
 // construction path shared by the HTTP handler and the CLI's -json mode,
 // which is what makes `curl /v1/predict` and `rppm predict -json`
-// byte-comparable. Independent stages (prediction, baselines, simulation)
-// fan out across the session's worker pool.
+// byte-comparable. The prediction carries the MAIN/CRIT baselines; with
+// Simulate it and the simulation fan out across the session's worker pool.
 func BuildPredict(ctx context.Context, s *engine.Session, bm workload.Benchmark, cfg arch.Config, req PredictRequest) (*PredictResponse, error) {
 	var (
-		pred         *core.Prediction
-		simRes       *sim.Result
-		mainC, critC float64
-		err          error
+		pred   *core.Prediction
+		simRes *sim.Result
+		err    error
 	)
-	if !req.Baselines && !req.Simulate {
-		// The common warm-serving case: one cache lookup, no fan-out.
+	if !req.Simulate {
+		// The common warm-serving case: one cache lookup, no fan-out. The
+		// baselines ride in the prediction.
 		pred, err = s.Predict(ctx, bm, req.Seed, req.Scale, cfg)
 	} else {
-		err = s.ForEach(ctx, 4, func(ctx context.Context, i int) (err error) {
-			switch i {
-			case 0:
+		err = s.ForEach(ctx, 2, func(ctx context.Context, i int) (err error) {
+			if i == 0 {
 				pred, err = s.Predict(ctx, bm, req.Seed, req.Scale, cfg)
-			case 1:
-				if req.Baselines {
-					mainC, err = s.PredictMain(ctx, bm, req.Seed, req.Scale, cfg)
-				}
-			case 2:
-				if req.Baselines {
-					critC, err = s.PredictCrit(ctx, bm, req.Seed, req.Scale, cfg)
-				}
-			case 3:
-				if req.Simulate {
-					simRes, err = s.Simulate(ctx, bm, req.Seed, req.Scale, cfg)
-				}
+			} else {
+				simRes, err = s.Simulate(ctx, bm, req.Seed, req.Scale, cfg)
 			}
 			return err
 		})
@@ -207,6 +196,7 @@ func BuildPredict(ctx context.Context, s *engine.Session, bm workload.Benchmark,
 		})
 	}
 	if req.Baselines {
+		mainC, critC := pred.Main(), pred.Crit()
 		resp.MainCycles, resp.CritCycles = &mainC, &critC
 	}
 	if req.Simulate {

@@ -21,7 +21,6 @@ import (
 	"rppm/internal/arch"
 	"rppm/internal/core"
 	"rppm/internal/engine"
-	"rppm/internal/interval"
 	"rppm/internal/profiler"
 	"rppm/internal/sim"
 	"rppm/internal/trace"
@@ -138,22 +137,11 @@ func Check(bm workload.Benchmark, seed uint64, scale float64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("suitecheck %s: profile: %w", bm.Name, err)
 	}
-	type predRow struct{ rppm, main, crit float64 }
-	preds := make([]predRow, len(cfgs))
+	preds := make([]*core.Prediction, len(cfgs))
 	for i := range cfgs {
-		p, err := core.PredictOpts(prof, cfgs[i], interval.ModelOptions{})
-		if err != nil {
+		if preds[i], err = core.Predict(prof, cfgs[i]); err != nil {
 			return nil, fmt.Errorf("suitecheck %s: predict %s: %w", bm.Name, cfgs[i].Name, err)
 		}
-		main, err := core.PredictMain(prof, cfgs[i])
-		if err != nil {
-			return nil, fmt.Errorf("suitecheck %s: predict-main %s: %w", bm.Name, cfgs[i].Name, err)
-		}
-		crit, err := core.PredictCrit(prof, cfgs[i])
-		if err != nil {
-			return nil, fmt.Errorf("suitecheck %s: predict-crit %s: %w", bm.Name, cfgs[i].Name, err)
-		}
-		preds[i] = predRow{p.Cycles, main, crit}
 	}
 
 	// Mode 4 — parallel: a fresh multi-worker session sweep (the serving
@@ -168,9 +156,9 @@ func Check(bm workload.Benchmark, seed uint64, scale float64) (*Report, error) {
 		if hashResult(psims[i]) != serialHash[i] {
 			return nil, fmt.Errorf("suitecheck %s: parallel sweep diverges from serial on %s", bm.Name, cfgs[i].Name)
 		}
-		if ppreds[i].Cycles != preds[i].rppm {
+		if ppreds[i].Cycles != preds[i].Cycles {
 			return nil, fmt.Errorf("suitecheck %s: parallel prediction %v diverges from serial %v on %s",
-				bm.Name, ppreds[i].Cycles, preds[i].rppm, cfgs[i].Name)
+				bm.Name, ppreds[i].Cycles, preds[i].Cycles, cfgs[i].Name)
 		}
 	}
 
@@ -180,7 +168,7 @@ func Check(bm workload.Benchmark, seed uint64, scale float64) (*Report, error) {
 	fmt.Fprintf(h, "%s|%d|%v|%d\n", bm.Name, seed, scale, rec.Instructions())
 	for i := range cfgs {
 		fmt.Fprintf(h, "cfg:%s|%s\n", cfgs[i].Name, serialHash[i])
-		fmt.Fprintf(h, "pred:%s|%v|%v|%v\n", cfgs[i].Name, preds[i].rppm, preds[i].main, preds[i].crit)
+		fmt.Fprintf(h, "pred:%s|%v|%v|%v\n", cfgs[i].Name, preds[i].Cycles, preds[i].Main(), preds[i].Crit())
 	}
 	return &Report{
 		Name:       bm.Name,

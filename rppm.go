@@ -237,18 +237,6 @@ func Predict(prof *WorkloadProfile, cfg Config) (*Prediction, error) {
 	return core.Predict(prof, cfg)
 }
 
-// PredictMain and PredictCrit are the paper's naive baselines: modeling
-// only the main thread, or modeling all threads and taking the slowest.
-// Both return predicted cycles.
-func PredictMain(prof *WorkloadProfile, cfg Config) (float64, error) {
-	return core.PredictMain(prof, cfg)
-}
-
-// PredictCrit is the CRIT baseline; see PredictMain.
-func PredictCrit(prof *WorkloadProfile, cfg Config) (float64, error) {
-	return core.PredictCrit(prof, cfg)
-}
-
 // Simulate runs the cycle-level multicore reference simulator (the
 // repository's Sniper stand-in) on the program.
 func Simulate(p Program, cfg Config) (*SimResult, error) {

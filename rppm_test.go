@@ -67,15 +67,11 @@ func TestBaselinesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mainC, err := rppm.PredictMain(profile, rppm.BaseConfig())
+	pred, err := rppm.Predict(profile, rppm.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	critC, err := rppm.PredictCrit(profile, rppm.BaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if critC < mainC {
+	if mainC, critC := pred.Main(), pred.Crit(); critC < mainC {
 		t.Fatalf("CRIT (%v) below MAIN (%v)", critC, mainC)
 	}
 }
