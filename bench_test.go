@@ -114,7 +114,7 @@ func BenchmarkSweep16(b *testing.B) {
 // BenchmarkSweepSkewed is the sweep benchmark on a registry workload: the
 // skewed-sharing family at its golden scale, whose trace is large enough
 // to cross the config-batched stepping gate — so this measures the batched
-// path on a zipf-skewed, directory-filter-heavy instruction mix rather
+// path on a zipf-skewed, coherence-heavy instruction mix rather
 // than the uniform footprints of the fixed suite.
 func BenchmarkSweepSkewed(b *testing.B) {
 	bm, err := rppm.ResolveBenchmark("skewed-sharing")

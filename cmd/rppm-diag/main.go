@@ -69,17 +69,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// diagnose profiles, simulates and predicts one benchmark at scale 0.3 on
+// diagScale is the workload scale of the default diagnosis mode.
+const diagScale = 0.3
+
+// diagnose profiles, simulates and predicts one benchmark at diagScale on
 // the base config and prints the predicted and simulated CPI stacks of its
 // first two threads, with the interval model's intermediate quantities.
 func diagnose(w io.Writer, bm workload.Benchmark) error {
 	cfg := arch.Base()
-	const scale = 0.3
-	prof, err := profiler.Run(bm.Build(1, scale), profiler.Options{})
+	prof, err := profiler.Run(bm.Build(1, diagScale), profiler.Options{})
 	if err != nil {
 		return err
 	}
-	simRes, err := sim.Run(bm.Build(1, scale), cfg)
+	simRes, err := sim.Run(bm.Build(1, diagScale), cfg)
 	if err != nil {
 		return err
 	}
@@ -96,18 +98,75 @@ func diagnose(w io.Writer, bm workload.Benchmark) error {
 			t, ss.Instr, ss.Base, ss.Branch, ss.ICache, ss.MemL2, ss.MemLLC, ss.MemDRAM, ss.Sync)
 		fmt.Fprintf(w, "    pred: N=%7d base=%8.0f br=%7.0f I$=%7.0f L2=%7.0f LLC=%7.0f dram=%8.0f sync=%8.0f\n",
 			ps.Instr, ps.Base, ps.Branch, ps.ICache, ps.MemL2, ps.MemLLC, ps.MemDRAM, ps.Sync)
-		agg := prof.Threads[t].Aggregate()
-		_, dg := interval.PredictEpochOpts(agg, &cfg, interval.ModelOptions{})
+		dg := rollUp(prof.Threads[t], &cfg)
 		fmt.Fprintf(w, "    diag: Deff=%.2f cres=%.1f mL1D=%.3f mL2=%.3f mLLC=%.3f mL1I=%.3f MLP=%.2f(misses %d) brMiss=%.3f loads=%d\n",
-			dg.Deff, dg.Cres, dg.MissRate.L1D, dg.MissRate.L2, dg.MissRate.LLC, dg.MissRate.L1I, dg.MLP, dg.MLPMisses, dg.BranchMiss, agg.Loads)
-		// implied sim MLP
-		simDram := ss.MemDRAM
-		impliedMisses := float64(agg.Loads) * dg.MissRate.LLC
-		if simDram > 0 {
-			fmt.Fprintf(w, "    implied sim MLP ~= %.2f\n", impliedMisses*float64(cfg.MemLatency)/simDram)
+			dg.Deff, dg.Cres, dg.MissRate.L1D, dg.MissRate.L2, dg.MissRate.LLC, dg.MissRate.L1I, dg.MLP, dg.MLPMisses, dg.BranchMiss, dg.Loads)
+		if ss.MemDRAM > 0 {
+			fmt.Fprintf(w, "    implied sim MLP ~= %.2f\n", dg.LLCMisses*float64(cfg.MemLatency)/ss.MemDRAM)
 		}
 	}
 	return nil
+}
+
+// threadDiag is one thread's diagnosis rolled up over its epochs.
+type threadDiag struct {
+	// Deff is the instruction-weighted harmonic mean, so Instr/Deff is
+	// the predicted Base; Cres is instruction-weighted. The data miss
+	// rates are load-weighted, the L1I rate is weighted by instruction-line
+	// accesses and the branch miss rate by branches. MLP is
+	// LLCMisses·MemLatency over the predicted DRAM cycles (1 when none are
+	// predicted), so dividing by it rebuilds the DRAM component.
+	interval.Diagnosis
+	Instr, Loads uint64
+	LLCMisses    float64 // Σ loads·mLLC
+}
+
+// rollUp evaluates every epoch of a thread exactly as core.Predict's
+// phase 1 does and rolls the per-epoch diagnoses up, so the result
+// explains the thread's predicted stack rather than some other epoch's.
+func rollUp(tp *profiler.ThreadProfile, cfg *arch.Config) threadDiag {
+	var r threadDiag
+	var base, dram, ilines, branches float64
+	for _, ep := range tp.Epochs {
+		if ep.Instr == 0 {
+			continue // evaluates to an empty stack
+		}
+		st, d := interval.PredictEpochOpts(ep, cfg, interval.ModelOptions{})
+		n, loads := float64(ep.Instr), float64(ep.Loads)
+		il, br := float64(ep.ILineAccesses), float64(ep.Branch.Branches())
+		r.Instr += ep.Instr
+		r.Loads += ep.Loads
+		base += st.Base
+		dram += st.MemDRAM
+		r.Cres += n * d.Cres
+		r.MissRate.L1D += loads * d.MissRate.L1D
+		r.MissRate.L2 += loads * d.MissRate.L2
+		r.LLCMisses += loads * d.MissRate.LLC
+		r.MissRate.L1I += il * d.MissRate.L1I
+		ilines += il
+		r.BranchMiss += br * d.BranchMiss
+		branches += br
+		r.MLPMisses += d.MLPMisses
+	}
+	ratio := func(num, den float64) float64 {
+		if den == 0 {
+			return 0
+		}
+		return num / den
+	}
+	loads := float64(r.Loads)
+	r.Deff = ratio(float64(r.Instr), base)
+	r.Cres = ratio(r.Cres, float64(r.Instr))
+	r.MissRate.L1D = ratio(r.MissRate.L1D, loads)
+	r.MissRate.L2 = ratio(r.MissRate.L2, loads)
+	r.MissRate.LLC = ratio(r.LLCMisses, loads)
+	r.MissRate.L1I = ratio(r.MissRate.L1I, ilines)
+	r.BranchMiss = ratio(r.BranchMiss, branches)
+	r.MLP = 1
+	if dram > 0 {
+		r.MLP = r.LLCMisses * float64(cfg.MemLatency) / dram
+	}
+	return r
 }
 
 // profileDump inspects persisted profile files (format v2, .rpp): header,

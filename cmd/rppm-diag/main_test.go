@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"rppm/internal/arch"
+	"rppm/internal/core"
+	"rppm/internal/profiler"
+	"rppm/internal/workload"
 )
 
 // TestRunRejectsBadArgs: a flag or an unknown benchmark name prints usage
@@ -38,5 +44,40 @@ func TestRunResolvesRegistryEntries(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "=== pipeline: sim ") {
 		t.Fatalf("run(pipeline) stdout = %q", stdout.String())
+	}
+}
+
+// TestDiagRebuildsPredRow: the diag line's rolled-up Deff and MLP rebuild
+// the pred row's Base and DRAM components, because they are rolled up
+// from the epochs the prediction evaluates.
+func TestDiagRebuildsPredRow(t *testing.T) {
+	bm, err := workload.ResolveBenchmark("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := arch.Base()
+	prof, err := profiler.Run(bm.Build(1, diagScale), profiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := core.Predict(prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pred.Threads[0].Stack
+	dg := rollUp(prof.Threads[0], &cfg)
+	if ps.Base == 0 || ps.MemDRAM == 0 {
+		t.Fatalf("nn t0 predicts base %v, dram %v: nothing to rebuild", ps.Base, ps.MemDRAM)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Base", float64(dg.Instr) / dg.Deff, ps.Base},
+		{"MemDRAM", dg.LLCMisses * float64(cfg.MemLatency) / dg.MLP, ps.MemDRAM},
+	} {
+		if rel := math.Abs(c.got-c.want) / c.want; rel > 1e-9 {
+			t.Errorf("%s rebuilt as %v, pred row %v (rel err %.3g)", c.name, c.got, c.want, rel)
+		}
 	}
 }

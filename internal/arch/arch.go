@@ -140,12 +140,6 @@ func (c *Config) PeakOpsPerSecond() float64 {
 	return float64(c.DispatchWidth) * c.FrequencyGHz * 1e9
 }
 
-// Latency returns the load-to-use latency of a hit at each level, cumulative
-// from the core's point of view: L1 hit, L2 hit, LLC hit, memory.
-func (c *Config) Latency() (l1, l2, llc, mem int) {
-	return c.L1D.HitLatency, c.L2.HitLatency, c.LLC.HitLatency, c.MemLatency
-}
-
 func (c *Config) String() string {
 	return fmt.Sprintf("%s: %d cores, %.2f GHz, width %d, ROB %d, IQ %d",
 		c.Name, c.Cores, c.FrequencyGHz, c.DispatchWidth, c.ROBSize, c.IssueQueueSize)

@@ -172,65 +172,13 @@ type Hierarchy struct {
 	// core (if any) holds it modified.
 	dir hashmap.Map[dirEntry]
 
-	// priv is a flat direct-mapped filter over the directory, indexed by
-	// (line, core): slot idx(line, core) holds pack(line, dirty, core) when
-	// the access by core that the filter can elide is known to be a
-	// directory no-op —
-	//
-	//   - clean entry (dirty bit off): core's sharer bit is set and the
-	//     line has no dirty owner. A read by core then changes no state
-	//     (its bit is already set, nothing to downgrade) and can skip the
-	//     probe; a write cannot (it must claim ownership).
-	//   - dirty entry (dirty bit on): the directory state is exactly
-	//     {sharers: 1<<core, owner: core+1}. Both a read and a write by
-	//     core are no-ops and skip the probe.
-	//
-	// The probe it skips is a guaranteed host-cache miss on large
-	// footprints, so the flat one-load lookup wins whenever lines are
-	// re-accessed in a stable sharing state — each sharer of a read-shared
-	// line holds its own clean entry. The filter is maintained exactly:
-	// every transition that could invalidate an entry rewrites or clears
-	// the affected slots (the write path walks exactly the pre-write
-	// sharers it already invalidates; a remote-read downgrade rewrites the
-	// old owner's entry). Collisions merely evict entries, which only
-	// costs the probe the filter would have saved.
-	priv      []uint64
-	privShift uint
-	privMax   uint64 // first line the filter cannot pack; 0 disables it
-
-	filterHits uint64
-	dirProbes  uint64
+	dirProbes uint64
 
 	// Counters per core and level, for CPI-stack accounting and MPKI,
 	// flattened to served[core*NumLevels+level] so the per-access increment
 	// is one indexed add.
 	served       []uint64
 	invalidation []uint64 // invalidations received per core
-}
-
-// privPack encodes a (line, core) pair for the private-line filter: line+1
-// in bits 6..63, the dirty flag at bit 5, the core in bits 0..4. Cores fit
-// in 5 bits (the directory's sharer mask already caps them at 32) and
-// line+1 fits in 58 bits for every line below privMaxLine (always the case
-// for the standard 64-byte lines; lines beyond the bound simply bypass the
-// filter), so the packing is injective and the zero value means empty.
-func privPack(line uint64, core int) uint64 { return (line+1)<<6 | uint64(core) }
-
-// privDirty marks a filter entry's line as modified (owned) rather than
-// clean-exclusive.
-const privDirty = 1 << 5
-
-// privMaxLine is the first line address the filter packing cannot
-// represent injectively (line+1 must fit in 58 bits, so (1<<58)-1 itself
-// would wrap the pack to the empty-slot sentinel for core 0); such lines
-// always take the directory path.
-const privMaxLine = 1<<58 - 1
-
-// privIndex spreads (line, core) pairs over the filter with one Fibonacci
-// multiply and a core perturbation — cheaper than the directory's full
-// mixer, good enough for a loss-tolerant direct-mapped table.
-func (h *Hierarchy) privIndex(line uint64, core int) uint64 {
-	return (line*0x9E3779B97F4A7C15)>>h.privShift ^ uint64(core)
 }
 
 // remoteTransferPenalty is the extra latency (beyond an LLC hit) of pulling
@@ -250,14 +198,6 @@ func NewHierarchyHinted(cfg arch.Config, dataLines int) *Hierarchy {
 		// doublings even without a hint.
 		dataLines = 8192
 	}
-	// The filter is loss-tolerant, so it is sized for the hot working set
-	// rather than the full footprint: about two slots per distinct line
-	// (read-shared lines hold one entry per sharer core), capped at 1 MiB
-	// of slots per simulated configuration.
-	privSize := 1 << 13
-	for privSize < 2*dataLines && privSize < 1<<17 {
-		privSize <<= 1
-	}
 	h := &Hierarchy{
 		cfg:          cfg,
 		lineShift:    uint(bits.Len(uint(cfg.L1D.LineBytes)) - 1),
@@ -265,14 +205,6 @@ func NewHierarchyHinted(cfg arch.Config, dataLines int) *Hierarchy {
 		served:       make([]uint64, cfg.Cores*NumLevels),
 		invalidation: make([]uint64, cfg.Cores),
 		dir:          *hashmap.New[dirEntry](dataLines),
-		priv:         make([]uint64, privSize),
-		privShift:    uint(64 - bits.TrailingZeros(uint(privSize))),
-		privMax:      privMaxLine,
-	}
-	if cfg.Cores > 32 {
-		// The 5-bit core field (like the directory's sharer mask) cannot
-		// represent such configurations; disable the filter.
-		h.privMax = 0
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1i = append(h.l1i, New(cfg.L1I))
@@ -316,25 +248,6 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) (latency int, 
 		}
 	}
 
-	// Private-line filter: when the directory entry is known to be exactly
-	// "modified-exclusive by this core", neither a read nor a write by this
-	// core changes any directory state (the write's invalidation mask is
-	// empty, the read's sharer bit is already set, the owner stays), so the
-	// probe and its update are skipped wholesale. The slot is exact by
-	// construction — every state change below rewrites or clears it.
-	if line < h.privMax {
-		s := h.priv[h.privIndex(line, core)]
-		if base := privPack(line, core); s&^uint64(privDirty) == base {
-			// Reads skip on both entry kinds; writes only when the line is
-			// already modified by this core (anything else must take the
-			// probe to claim ownership).
-			if !write || s&privDirty != 0 {
-				h.filterHits++
-				return h.finishData(core, line, write, false)
-			}
-		}
-	}
-
 	// Coherence: a write invalidates every other core's private copies; a
 	// read of a line that is dirty in another private cache triggers a
 	// remote transfer (and downgrades the owner's copy to shared). The
@@ -343,25 +256,17 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) (latency int, 
 	d := h.dir.Ref(line)
 	e := *d
 	remote := false
-	prevOwner := -1
 	if op := e.ownerP(); op != 0 && int(op-1) != core {
 		remote = true
-		prevOwner = int(op - 1)
 		e = dirEntry(e.sharers()) // downgrade: clear the owner
 	}
-	filtered := line < h.privMax
 	if write {
-		// Invalidate every other sharer, walking only the set bits. Their
-		// filter entries (clean or dirty) become stale with their copies,
-		// so the same walk clears the corresponding slots.
+		// Invalidate every other sharer, walking only the set bits.
 		for m := e.sharers() &^ (1 << uint(core)); m != 0; m &= m - 1 {
 			c := bits.TrailingZeros32(m)
 			inv := h.l1d[c].Invalidate(line)
 			if h.l2[c].Invalidate(line) || inv {
 				h.invalidation[c]++
-			}
-			if filtered {
-				h.priv[h.privIndex(line, c)] = 0
 			}
 		}
 		e = dirEntry(1<<uint(core)) | dirEntry(core+1)<<32
@@ -370,35 +275,14 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) (latency int, 
 	}
 	*d = e
 
-	// Maintain the filter: this access's own entry reflects the post-state
-	// (a write leaves the line modified-exclusive; a read leaves this
-	// core's bit set with either no owner or this core still owning), and
-	// a remote-read downgrade rewrites the previous owner's entry from
-	// dirty to clean (its sharer bit survives the downgrade).
-	if filtered {
-		v := privPack(line, core)
-		if write || e.ownerP() != 0 {
-			v |= privDirty
-		}
-		h.priv[h.privIndex(line, core)] = v
-		if remote && !write {
-			h.priv[h.privIndex(line, prevOwner)] = privPack(line, prevOwner)
-		}
-	}
-
-	return h.finishData(core, line, write, remote)
-}
-
-// finishData is the level walk shared by the filter fast path and the
-// directory path: private-cache fills for writes, then LLC and memory.
-func (h *Hierarchy) finishData(core int, line uint64, write, remote bool) (latency int, level Level) {
+	// Private-cache fills for writes, then LLC and memory.
 	if write {
-		hitL1, _, _ := h.l1d[core].Access(line)
+		hitL1, _, _ = h.l1d[core].Access(line)
 		if hitL1 && !remote {
 			h.served[core*NumLevels+int(LevelL1)]++
 			return h.cfg.L1D.HitLatency, LevelL1
 		}
-		hitL2, _, _ := h.l2[core].Access(line)
+		hitL2, _, _ = h.l2[core].Access(line)
 		if hitL2 && !remote {
 			h.served[core*NumLevels+int(LevelL2)]++
 			return h.cfg.L2.HitLatency, LevelL2
@@ -417,13 +301,8 @@ func (h *Hierarchy) finishData(core int, line uint64, write, remote bool) (laten
 	return h.cfg.MemLatency, LevelMem
 }
 
-// FilterHits returns the number of accesses served with the directory
-// probe skipped by the private-line filter (diagnostics and tests).
-func (h *Hierarchy) FilterHits() uint64 { return h.filterHits }
-
-// DirProbes returns the number of accesses that paid the directory probe
-// (the accesses the filter did not elide). FilterHits/(FilterHits +
-// DirProbes) is the filter's hit rate over directory-bound traffic.
+// DirProbes returns the number of data accesses that probed the coherence
+// directory: every access except private-cache read hits.
 func (h *Hierarchy) DirProbes() uint64 { return h.dirProbes }
 
 // LoadMRU is the inlineable fast path for the commonest data access of
@@ -443,29 +322,6 @@ func (h *Hierarchy) LoadMRU(core int, addr uint64) bool {
 	if c.tags[int(set)*c.ways] != line+1 {
 		return false
 	}
-	c.hits++
-	h.served[core*NumLevels]++ // LevelL1 == 0
-	return true
-}
-
-// StoreMRU is the store-side fast path: a write to a line that is MRU in
-// this core's L1D and whose filter entry says "modified-exclusive by this
-// core". Under exactly those conditions AccessData's write path is the
-// filter-elided branch followed by an L1 hit in finishData — directory
-// untouched, filter entry unchanged, no promotion needed — so performing
-// the three counter increments here is state- and counter-identical. On
-// false, nothing was touched; take the full AccessData path.
-func (h *Hierarchy) StoreMRU(core int, addr uint64) bool {
-	c := h.l1d[core]
-	line := addr >> h.lineShift
-	set := line & c.setMask
-	if c.tags[int(set)*c.ways] != line+1 {
-		return false
-	}
-	if line >= h.privMax || h.priv[h.privIndex(line, core)] != privPack(line, core)|privDirty {
-		return false
-	}
-	h.filterHits++
 	c.hits++
 	h.served[core*NumLevels]++ // LevelL1 == 0
 	return true

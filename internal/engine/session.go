@@ -171,12 +171,6 @@ type Session struct {
 
 	hits, misses, coalesced, evictions, traceLoads uint64
 	profStats                                      ProfileStats
-
-	// batchScratch pools simulateBatch's per-group result-assembly
-	// buffers (the claim list and the batch config slice) across a
-	// sweep's groups and across sweeps, one of the fixed per-config costs
-	// of a cold sweep.
-	batchScratch sync.Pool
 }
 
 // NewSession creates an empty unbounded session backed by the engine's
@@ -779,16 +773,10 @@ func (s *Session) SimulatePredictSweep(ctx context.Context, bm workload.Benchmar
 }
 
 // claim records one simulation cache slot a batch group claimed for
-// computation; batchScratch is the pooled per-group assembly scratch (see
-// Session.batchScratch).
+// computation.
 type claim struct {
 	idx int
 	en  *entry
-}
-
-type batchScratch struct {
-	claims []claim
-	cfgs   []arch.Config
 }
 
 // maxBatchWidth caps the automatic batch width: beyond a handful of
@@ -934,21 +922,7 @@ func (s *Session) sweep(ctx context.Context, bm workload.Benchmark, seed uint64,
 // usual. One EventSimulate is emitted per computed configuration with the
 // batch's amortized duration.
 func (s *Session) simulateBatch(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config, out []*sim.Result, progFn func() trace.Program) error {
-	sc, _ := s.batchScratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
-	}
-	claimed := sc.claims[:0]
-	batchCfgs := sc.cfgs[:0]
-	defer func() {
-		// Clear the entry pointers so the pooled scratch never keeps a
-		// finished sweep's cache entries reachable.
-		for i := range claimed {
-			claimed[i] = claim{}
-		}
-		sc.claims, sc.cfgs = claimed[:0], batchCfgs[:0]
-		s.batchScratch.Put(sc)
-	}()
+	var claimed []claim
 	s.mu.Lock()
 	for i := range cfgs {
 		if cfgs[i].Validate() != nil {
@@ -970,8 +944,9 @@ func (s *Session) simulateBatch(ctx context.Context, bm workload.Benchmark, seed
 	s.mu.Unlock()
 
 	if len(claimed) > 0 {
-		for _, c := range claimed {
-			batchCfgs = append(batchCfgs, cfgs[c.idx])
+		batchCfgs := make([]arch.Config, len(claimed))
+		for i, c := range claimed {
+			batchCfgs[i] = cfgs[c.idx]
 		}
 		// Mirror get()'s panic discipline for the claimed slots: forget
 		// every claim and wake its waiters with an error before the panic

@@ -40,10 +40,6 @@ type Config struct {
 	Session *engine.Session
 }
 
-// DefaultConfig runs the experiments at a fidelity that completes the whole
-// evaluation in tens of seconds.
-func DefaultConfig() Config { return Config{Scale: 0.3, Seed: 1} }
-
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.3

@@ -28,7 +28,6 @@ type ZipfTable struct {
 	// rank <= r. The last entry is forced to the full grid so every draw
 	// maps to a rank (the reference's fallback-to-last-rank behaviour).
 	counts []uint64
-	theta  float64
 }
 
 // zipfCum returns the cumulative distribution of the capped zipfian in
@@ -58,7 +57,7 @@ func zipfCum(n int, theta float64) []float64 {
 // default exponent is 0.99; larger is more skewed).
 func NewZipfTable(n int, theta float64) *ZipfTable {
 	cum := zipfCum(n, theta)
-	t := &ZipfTable{counts: make([]uint64, n), theta: theta}
+	t := &ZipfTable{counts: make([]uint64, n)}
 	for r, c := range cum {
 		// float64(m) < c*2^53 holds exactly for m < ceil(c*2^53): the
 		// scaling multiplies the exponent only (never rounds for c <= 1),
@@ -79,9 +78,6 @@ func NewZipfTable(n int, theta float64) *ZipfTable {
 
 // N returns the item count.
 func (t *ZipfTable) N() int { return len(t.counts) }
-
-// Theta returns the exponent the table was built with.
-func (t *ZipfTable) Theta() float64 { return t.theta }
 
 // Sample returns the rank for the next draw, consuming exactly one Uint64
 // like the naive scan.

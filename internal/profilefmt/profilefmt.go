@@ -749,20 +749,6 @@ func ReadFileFS(fsys storefs.FS, path string) (*profiler.Profile, profiler.Optio
 	return p, opts, nil
 }
 
-// ReadHeaderFile reads just the summary header (with full checksum
-// validation) of a profile file, for diagnostics.
-func ReadHeaderFile(path string) (Header, error) {
-	data, err := readCapped(storefs.OS, path)
-	if err != nil {
-		return Header{}, err
-	}
-	h, err := DecodeHeader(data)
-	if err != nil {
-		return Header{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return h, nil
-}
-
 func readCapped(fsys storefs.FS, path string) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -62,12 +62,12 @@ type Result struct {
 	Seconds float64
 	Threads []ThreadResult
 
-	// FilterHits and DirProbes expose the coherence hierarchy's
-	// private-line filter counters: accesses whose directory probe the
-	// filter elided versus accesses that paid it. Diagnostics only — no
-	// golden hash covers them.
+	// FilterHits is always zero. It is kept only because the repository
+	// benchmark (perfbench/validate.go) reads it.
 	FilterHits uint64
-	DirProbes  uint64
+	// DirProbes counts data accesses that probed the coherence directory.
+	// Diagnostics only: no golden hash covers it.
+	DirProbes uint64
 }
 
 // SizeBytes returns the resident size of the result, for memory-budget
@@ -512,7 +512,6 @@ func (e *engine) result() *Result {
 		})
 	}
 	res.Seconds = e.cfg.CyclesToSeconds(res.Cycles)
-	res.FilterHits = e.hier.FilterHits()
 	res.DirProbes = e.hier.DirProbes()
 	return res
 }
@@ -825,12 +824,8 @@ func (e *engine) step(st *simThread, cls trace.Class, dst, src1, src2 int8, pc, 
 		}
 	case trace.Store:
 		// Stores update coherence state but retire through the store
-		// buffer: one cycle of core latency. The MRU fast path covers
-		// repeated stores to a privately-owned line (no state changes
-		// anywhere, so skipping the full call is bit-identical).
-		if !hier.StoreMRU(st.core, addr) {
-			hier.AccessData(st.core, addr, true)
-		}
+		// buffer: one cycle of core latency.
+		hier.AccessData(st.core, addr, true)
 		complete = issue + 1
 	default:
 		complete = issue + execLat[cls]

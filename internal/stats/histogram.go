@@ -392,16 +392,6 @@ func (h *Histogram) Buckets(fn func(value int64, count uint64)) {
 	}
 }
 
-// CCDF returns the complementary CDF sampled at the given points:
-// out[i] = FracAbove(points[i]). Points must be sorted ascending.
-func (h *Histogram) CCDF(points []int64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = h.FracAbove(p)
-	}
-	return out
-}
-
 // String renders a short human-readable summary.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("hist{n=%d inf=%d mean=%.1f max=%d}", h.count, h.infinite, h.Mean(), h.max)

@@ -44,28 +44,13 @@ type Report struct {
 	Scale  float64
 	Instrs uint64 // recorded dynamic instructions
 	Hash   string // the golden invariant (serial outputs)
-
-	// Private-line filter counters from the base-configuration simulation
-	// (diagnostics; not part of the invariant hash).
-	FilterHits uint64
-	DirProbes  uint64
-}
-
-// FilterRate returns the private-line filter's hit rate over
-// directory-bound traffic on the base configuration.
-func (r *Report) FilterRate() float64 {
-	total := r.FilterHits + r.DirProbes
-	if total == 0 {
-		return 0
-	}
-	return float64(r.FilterHits) / float64(total)
 }
 
 // hashResult digests every model-visible field of a simulation result:
 // program cycles and per-thread instruction counts, finish/active/idle
-// cycles, the full CPI stack, and the active intervals. The filter
-// counters are deliberately excluded — they are implementation
-// diagnostics, free to change when the filter is retuned.
+// cycles, the full CPI stack, and the active intervals. The directory
+// probe counter is deliberately excluded: it is an implementation
+// diagnostic, free to change with the hierarchy's internals.
 func hashResult(r *sim.Result) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%v|%v\n", r.Cycles, r.Seconds)
@@ -171,13 +156,11 @@ func Check(bm workload.Benchmark, seed uint64, scale float64) (*Report, error) {
 		fmt.Fprintf(h, "pred:%s|%v|%v|%v\n", cfgs[i].Name, preds[i].Cycles, preds[i].Main(), preds[i].Crit())
 	}
 	return &Report{
-		Name:       bm.Name,
-		Seed:       seed,
-		Scale:      scale,
-		Instrs:     rec.Instructions(),
-		Hash:       fmt.Sprintf("%x", h.Sum(nil)),
-		FilterHits: serial[0].FilterHits,
-		DirProbes:  serial[0].DirProbes,
+		Name:   bm.Name,
+		Seed:   seed,
+		Scale:  scale,
+		Instrs: rec.Instructions(),
+		Hash:   fmt.Sprintf("%x", h.Sum(nil)),
 	}, nil
 }
 

@@ -7,7 +7,7 @@ import (
 
 // This file defines the synthetic workload families: parameterized stress
 // programs that exist to exercise subsystems the benchmark suite leaves
-// cold — the directory's private-line filter (skewed-sharing), the MLP
+// cold — the coherence directory under skewed re-sharing (skewed-sharing), the MLP
 // machinery (pointer-chase), condvar token flow (pipeline), and epoch
 // profiling under regime changes (phase-change). Families are instantiated
 // through the suite registry (suites.go): a registry entry names a family,
@@ -138,14 +138,14 @@ func round(v float64) int {
 
 // skewedSharingFamily: zipfian line popularity over both an L2-overflowing
 // private footprint and a large shared region. The skew makes evicted lines
-// come back — exactly the re-reference pattern the directory's private-line
-// filter exists for, which uniform benchmark footprints almost never
-// produce (~0–1% filter hit rate across the fixed suite).
+// come back, so the coherence directory sees lines re-read and re-written
+// in a stable sharing state — a pattern uniform benchmark footprints
+// almost never produce.
 func skewedSharingFamily() Family {
 	return Family{
 		Name: "skewed-sharing",
 		Doc: "zipf-popular lines over L2-overflowing private and shared regions; " +
-			"drives the directory private-line filter to real hit rates",
+			"re-references lines in stable sharing states through the coherence directory",
 		Params: []Param{
 			{Name: "theta", Default: 0.99, Min: 0.1, Max: 3, Doc: "zipf exponent for line popularity"},
 			{Name: "priv_mb", Default: 8, Min: 1, Max: 64, Doc: "per-thread private footprint (MiB)"},

@@ -26,7 +26,7 @@ func TestGoldenSuiteInvariants(t *testing.T) {
 			t.Parallel()
 			if testing.Short() && e.Family != "" && e.Name != "skewed-sharing" {
 				// In -short mode keep one full-size family entry (the one
-				// exercising the directory filter and the config-batch
+				// exercising skewed directory sharing and the config-batch
 				// gate) and every fixed-suite entry; the remaining family
 				// entries run only in full mode.
 				t.Skip("large family entry; run without -short")
