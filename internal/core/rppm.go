@@ -83,71 +83,6 @@ func (p *Prediction) TotalInstr() uint64 {
 	return n
 }
 
-// CondvarClass is the classified usage pattern of a condition variable
-// (Section III.B: "we use these markers to verify the intended behavior of
-// the condition variable").
-type CondvarClass int
-
-const (
-	// CondvarBarrier: all participating threads wait and any thread
-	// releases — modelled as a barrier.
-	CondvarBarrier CondvarClass = iota
-	// CondvarProducerConsumer: a set of threads produces items
-	// (broadcast/signal markers), a disjoint set consumes (wait markers) —
-	// modelled with an item counter that stalls empty consumers.
-	CondvarProducerConsumer
-)
-
-// ClassifyCondvars inspects a profile's event streams and classifies every
-// condition-variable object by its observed usage.
-func ClassifyCondvars(p *profiler.Profile) map[uint32]CondvarClass {
-	waiters := make(map[uint32]map[int]bool)
-	producers := make(map[uint32]map[int]bool)
-	for tid, tp := range p.Threads {
-		for _, ev := range tp.Events {
-			switch ev.Kind {
-			case trace.SyncCondWaitMarker:
-				if waiters[ev.Obj] == nil {
-					waiters[ev.Obj] = make(map[int]bool)
-				}
-				waiters[ev.Obj][tid] = true
-			case trace.SyncCondBroadcast, trace.SyncCondSignal:
-				if producers[ev.Obj] == nil {
-					producers[ev.Obj] = make(map[int]bool)
-				}
-				producers[ev.Obj][tid] = true
-			}
-		}
-	}
-	out := make(map[uint32]CondvarClass)
-	for obj, w := range waiters {
-		prod := producers[obj]
-		disjoint := true
-		for t := range prod {
-			if w[t] {
-				disjoint = false
-				break
-			}
-		}
-		if len(prod) > 0 && disjoint {
-			out[obj] = CondvarProducerConsumer
-		} else if len(prod) == 0 {
-			out[obj] = CondvarBarrier
-		} else {
-			// Overlapping waiter/producer sets: the conservative choice is
-			// the item-queue semantics, which degrades to barrier-like
-			// behaviour when producers immediately precede waiters.
-			out[obj] = CondvarProducerConsumer
-		}
-	}
-	for obj := range producers {
-		if _, seen := out[obj]; !seen {
-			out[obj] = CondvarProducerConsumer
-		}
-	}
-	return out
-}
-
 // symThread is the Algorithm 2 per-thread state.
 type symThread struct {
 	id      int

@@ -162,47 +162,76 @@ func TestCritAtLeastMainForWorkerPools(t *testing.T) {
 }
 
 func TestClassifyCondvars(t *testing.T) {
-	// vips uses producer-consumer condvars (main produces, workers consume).
+	// vips uses producer-consumer condvars: main produces, workers consume.
+	// Phase 2 tells the patterns apart by the wait marker's Arg: 0 is one
+	// item consumption, a positive Arg counts a condvar barrier's
+	// participants. So vips must consume through Arg-0 markers, on threads
+	// disjoint from the ones that signal or broadcast the same condvar.
 	prof := profileOf(t, "vips", 0.05)
-	classes := ClassifyCondvars(prof)
-	foundPC := false
-	for _, c := range classes {
-		if c == CondvarProducerConsumer {
-			foundPC = true
+	consumers := map[uint32]map[int]bool{}
+	producers := map[uint32]map[int]bool{}
+	for tid, tp := range prof.Threads {
+		for _, ev := range tp.Events {
+			m := producers
+			switch {
+			case ev.Kind == trace.SyncCondWaitMarker && ev.Arg == 0:
+				m = consumers
+			case ev.Kind == trace.SyncCondWaitMarker:
+				t.Fatalf("vips thread %d waits on condvar %d as a %d-thread barrier", tid, ev.Obj, ev.Arg)
+			case ev.Kind != trace.SyncCondBroadcast && ev.Kind != trace.SyncCondSignal:
+				continue
+			}
+			if m[ev.Obj] == nil {
+				m[ev.Obj] = map[int]bool{}
+			}
+			m[ev.Obj][tid] = true
 		}
 	}
-	if !foundPC {
-		t.Fatal("vips condvars not classified as producer-consumer")
+	if len(consumers) == 0 {
+		t.Fatal("vips has no producer-consumer condvar consumptions")
+	}
+	for obj, cons := range consumers {
+		if len(producers[obj]) == 0 {
+			t.Errorf("vips condvar %d is consumed but never produced", obj)
+		}
+		for tid := range producers[obj] {
+			if cons[tid] {
+				t.Errorf("vips condvar %d: thread %d both produces and consumes", obj, tid)
+			}
+		}
 	}
 }
 
 func TestClassifyCondvarBarrier(t *testing.T) {
-	// A condvar-barrier program: all threads emit wait markers, nobody
-	// broadcasts explicitly.
-	b := workload.NewBuilder("cvbar", 4, 1)
-	b.CreateWorkers()
-	cv := b.NewObj()
-	all := b.AllThreads()
-	for _, tid := range all {
-		b.Compute(tid, workload.Block{N: 500, Mix: workload.MixInt()})
+	// A condvar-barrier program: all threads emit wait markers counting the
+	// participants, nobody broadcasts explicitly. Phase 2 classifies such a
+	// condvar as a barrier (Section III.B), so the prediction must equal
+	// that of the same program with a plain barrier.
+	build := func(barrier func(b *workload.Builder, obj uint32, tids ...int) *workload.Builder) *profiler.Profile {
+		b := workload.NewBuilder("cvbar", 4, 1)
+		b.CreateWorkers()
+		cv := b.NewObj()
+		all := b.AllThreads()
+		for _, tid := range all {
+			b.Compute(tid, workload.Block{N: 500, Mix: workload.MixInt()})
+		}
+		barrier(b, cv, all...)
+		prof, err := profiler.Run(b.Finish(), profiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
 	}
-	b.CondBarrier(cv, all...)
-	prog := b.Finish()
-	prof, err := profiler.Run(prog, profiler.Options{})
+	cond, err := Predict(build((*workload.Builder).CondBarrier), arch.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes := ClassifyCondvars(prof)
-	if classes[cv] != CondvarBarrier {
-		t.Fatalf("condvar barrier classified as %v", classes[cv])
-	}
-	// And prediction must treat it as a barrier: all finish together.
-	pred, err := Predict(prof, arch.Base())
+	plain, err := Predict(build((*workload.Builder).Barrier), arch.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Cycles <= 0 {
-		t.Fatal("prediction failed")
+	if cond.Cycles <= 0 || cond.Cycles != plain.Cycles {
+		t.Fatalf("condvar barrier predicted %v cycles, plain barrier %v: want equal and positive", cond.Cycles, plain.Cycles)
 	}
 }
 

@@ -6,12 +6,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
 	"rppm/internal/arch"
 	"rppm/internal/sim"
+	"rppm/internal/trace"
 	"rppm/internal/workload"
 )
 
@@ -24,7 +26,9 @@ func sweepWidth(ctx context.Context, s *Session, bm workload.Benchmark, cfgs []a
 
 // TestSweepBatchWidthsBitIdentical: sweeps at several explicit batch
 // widths (and the automatic width) return results bit-identical to fresh
-// per-configuration simulations, with exactly one simulation per config.
+// per-configuration simulations, with exactly one simulation per config,
+// and leave identical cache contents and accounting: the same misses,
+// hits, coalesced waits, resident bytes and entries at every width.
 func TestSweepBatchWidthsBitIdentical(t *testing.T) {
 	bm := mustBench(t, "kmeans")
 	ctx := context.Background()
@@ -40,7 +44,9 @@ func TestSweepBatchWidthsBitIdentical(t *testing.T) {
 		want[i] = res
 	}
 
-	for _, batch := range []int{0, 1, 3, 8} {
+	var firstStats Stats
+	var firstSnap []CacheEntryInfo
+	for w, batch := range []int{0, 1, 3, 8} {
 		c := newCounter()
 		s := New(Options{Workers: 4, Progress: c.sink}).NewSession()
 		got, err := sweepWidth(ctx, s, bm, space, batch)
@@ -55,6 +61,71 @@ func TestSweepBatchWidthsBitIdentical(t *testing.T) {
 		if n := c.get(EventSimulate); n != len(space) {
 			t.Errorf("batch %d: %d simulate events for %d configs, want one each", batch, n, len(space))
 		}
+		st, snap := s.Stats(), s.Snapshot()
+		if st.Entries != len(space)+1 || st.Misses != uint64(len(space)+1) {
+			t.Errorf("batch %d: %d entries, %d misses; want the trace and one per config", batch, st.Entries, st.Misses)
+		}
+		if w == 0 {
+			firstStats, firstSnap = st, snap
+			continue
+		}
+		if st != firstStats {
+			t.Errorf("batch %d: cache accounting %+v, want %+v as at the automatic width", batch, st, firstStats)
+		}
+		if !reflect.DeepEqual(snap, firstSnap) {
+			t.Errorf("batch %d: cache contents differ from the automatic width's", batch)
+		}
+	}
+}
+
+// TestSweepBatchCancelledForgetsClaims: a batch whose context is already
+// cancelled claims its configurations and then fails to get a pool slot.
+// It must forget every claim rather than cache the cancellation, so the
+// session is left as it was and a later live sweep simulates each
+// configuration exactly once.
+func TestSweepBatchCancelledForgetsClaims(t *testing.T) {
+	bm := mustBench(t, "kmeans")
+	ctx := context.Background()
+	space := arch.SweepSpace(4)
+	c := newCounter()
+	s := New(Options{Workers: 2, Progress: c.sink}).NewSession()
+	rec, err := s.Recorded(ctx, bm, testSeed, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	out := make([]*sim.Result, len(space))
+	err = s.simulateBatch(cancelled, bm, testSeed, testScale, space, out,
+		func() trace.Program { return rec })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	st := s.Stats()
+	if st.Misses != before.Misses+uint64(len(space)) {
+		t.Errorf("misses %d, want %d: the batch should have claimed every config", st.Misses, before.Misses+uint64(len(space)))
+	}
+	if st.Entries != before.Entries || st.BytesResident != before.BytesResident {
+		t.Errorf("cancelled batch left %d entries, %d bytes; want %d, %d as before it",
+			st.Entries, st.BytesResident, before.Entries, before.BytesResident)
+	}
+	if n := c.get(EventSimulate); n != 0 {
+		t.Errorf("cancelled batch emitted %d simulate events", n)
+	}
+
+	got, err := sweepWidth(ctx, s, bm, space, len(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		if res == nil {
+			t.Fatalf("config %d missing after the cancelled batch", i)
+		}
+	}
+	if n := c.get(EventSimulate); n != len(space) {
+		t.Errorf("live sweep after the cancelled batch: %d simulate events for %d configs, want one each", n, len(space))
 	}
 }
 

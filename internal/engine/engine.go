@@ -116,26 +116,11 @@ func (e *Engine) Workers() int { return cap(e.slots) }
 // ProfilerOptions returns the engine's default profiling options.
 func (e *Engine) ProfilerOptions() profiler.Options { return e.opts.Profiler }
 
-// acquire claims a worker slot, or fails when ctx is done first. Slots are
-// only held around leaf computations (never while waiting on another cache
-// entry), so slot acquisition cannot deadlock.
-func (e *Engine) acquire(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case e.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (e *Engine) release() { <-e.slots }
 
-// acquireTimed is acquire plus a measurement of how long the caller
-// queued for the slot (zero when one was free immediately), feeding
-// Event.Wait and the per-stage span attribution.
+// acquireTimed claims a worker slot, or fails when ctx is done first. It
+// reports how long the caller queued for the slot (zero when one was free
+// immediately), feeding Event.Wait and the per-stage span attribution.
 func (e *Engine) acquireTimed(ctx context.Context) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

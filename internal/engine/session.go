@@ -30,10 +30,8 @@ type Key struct {
 	Scale float64
 }
 
-// progKey, recKey, ProfileKey, simKey and predKey key the session caches.
-// All are comparable value types so they work as map keys directly.
-type progKey struct{ Key }
-
+// recKey, ProfileKey, simKey and predKey key the session caches. All are
+// comparable value types so they work as map keys directly.
 type recKey struct{ Key }
 
 // ProfileKey identifies one cached profile: the workload key plus the
@@ -209,7 +207,7 @@ func (s *Session) Stats() Stats {
 // artifact it is, which workload key it belongs to, how many bytes it
 // accounts for, and whether an in-flight request currently pins it.
 type CacheEntryInfo struct {
-	Kind   string  `json:"kind"` // program | trace | profile | simulation | prediction
+	Kind   string  `json:"kind"` // trace | profile | simulation | prediction
 	Bench  string  `json:"bench"`
 	Seed   uint64  `json:"seed"`
 	Scale  float64 `json:"scale"`
@@ -237,9 +235,6 @@ func (s *Session) Snapshot() []CacheEntryInfo {
 			Failed:    en.complete && en.err != nil,
 		}
 		switch key := k.(type) {
-		case progKey:
-			info.Kind = "program"
-			info.Bench, info.Seed, info.Scale = key.Bench, key.Seed, key.Scale
 		case recKey:
 			info.Kind = "trace"
 			info.Bench, info.Seed, info.Scale = key.Bench, key.Seed, key.Scale
@@ -280,7 +275,7 @@ func isCtxErr(err error) bool {
 }
 
 // sizer is implemented by every cached result type (recorded traces,
-// profiles, simulation results, predictions, generative programs).
+// profiles, simulation results, predictions).
 type sizer interface{ SizeBytes() int64 }
 
 // entryOverhead approximates the cache bookkeeping per entry: the entry
@@ -297,69 +292,28 @@ func entrySize(v any) int64 {
 // get returns the entry for k, computing it via fn exactly once, with the
 // entry pinned: the caller must release() it once the value is no longer in
 // use, at which point the entry becomes evictable. Duplicate callers block
-// until the in-flight computation finishes (or their own ctx is done).
-// Entries that failed due to context cancellation are forgotten — the entry
-// is removed before done is closed — so both a later call and a waiter with
-// a live context recompute them instead of inheriting another caller's
-// cancellation. get itself returns an error only for the caller's own
-// context; computation failures are cached and ride in the entry.
+// until the in-flight computation finishes (or their own ctx is done), and
+// retry when it was forgotten on the computing caller's cancellation (see
+// finish). get itself returns an error only for the caller's own context;
+// computation failures are cached and ride in the entry.
 func (s *Session) get(ctx context.Context, k any, fn func(context.Context) (any, error)) (*entry, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
-		en, ok := s.entries[k]
-		if !ok {
-			en = &entry{done: make(chan struct{}), key: k, refs: 1}
-			s.entries[k] = en
-			s.misses++
+		en, owner := s.claimLocked(k)
+		if owner {
 			s.mu.Unlock()
-			func() {
-				// A panic in the computation (a handler bug, a corrupt
-				// artifact tripping an invariant) must not strand the slot:
-				// waiters would block on done forever and every later
-				// request for the key would coalesce onto the wreck. Forget
-				// the entry — like a context cancellation, but the cached
-				// error makes current waiters fail rather than retry — and
-				// let the panic keep unwinding to the caller's recovery.
-				defer func() {
-					if r := recover(); r != nil {
-						s.mu.Lock()
-						delete(s.entries, k)
-						en.evicted = true
-						en.err = fmt.Errorf("engine: computing %T cache entry: panic: %v", k, r)
-						s.mu.Unlock()
-						close(en.done)
-						panic(r)
-					}
-				}()
-				en.val, en.err = fn(ctx)
-			}()
-			s.mu.Lock()
-			if en.err != nil && isCtxErr(en.err) {
-				delete(s.entries, k)
-				en.evicted = true
-				s.mu.Unlock()
-				close(en.done)
+			if !s.fill(ctx, en, fn) {
 				return nil, en.err
 			}
-			en.complete = true
-			en.size = entrySize(en.val)
-			s.bytes += en.size
-			s.evictLocked()
-			s.mu.Unlock()
-			close(en.done)
 			return en, nil
 		}
 		if en.complete {
 			// Completed entries inside the map are never marked evicted, so
 			// this hit can pin unconditionally.
-			en.refs++
-			if en.elem != nil {
-				s.lru.Remove(en.elem)
-				en.elem = nil
-			}
+			s.pinLocked(en)
 			s.hits++
 			s.mu.Unlock()
 			return en, nil
@@ -376,17 +330,97 @@ func (s *Session) get(ctx context.Context, k any, fn func(context.Context) (any,
 			// stays valid, it just no longer occupies the cache.
 			s.mu.Lock()
 			if !en.evicted {
-				en.refs++
-				if en.elem != nil {
-					s.lru.Remove(en.elem)
-					en.elem = nil
-				}
+				s.pinLocked(en)
 			}
 			s.mu.Unlock()
 			return en, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+}
+
+// claimLocked returns k's entry and whether the caller now owns it: an
+// absent key gets a fresh entry, pinned for its owner and counted as a
+// miss, which the owner must publish through finish. The caller holds
+// s.mu.
+func (s *Session) claimLocked(k any) (*entry, bool) {
+	if en, ok := s.entries[k]; ok {
+		return en, false
+	}
+	en := &entry{done: make(chan struct{}), key: k, refs: 1}
+	s.entries[k] = en
+	s.misses++
+	return en, true
+}
+
+// fill computes an entry the caller owns via fn and publishes the outcome,
+// reporting whether the entry stayed cached (see finish).
+func (s *Session) fill(ctx context.Context, en *entry, fn func(context.Context) (any, error)) bool {
+	defer s.abandonOnPanic(en)
+	val, err := fn(ctx)
+	return s.finish(en, val, err)
+}
+
+// finish publishes the outcome of an owned entry's computation and wakes
+// its waiters. A context error is the owner's cancellation, not the key's
+// result: the entry is forgotten (removed before done is closed), so both
+// a later call and a waiter with a live context recompute it instead of
+// inheriting the cancellation. Any other outcome, a failure included,
+// completes the entry: its size is charged and the byte budget enforced.
+// finish reports whether the entry stayed cached, still pinned for the
+// owner.
+func (s *Session) finish(en *entry, val any, err error) bool {
+	forget := err != nil && isCtxErr(err)
+	s.mu.Lock()
+	en.val, en.err = val, err
+	if forget {
+		delete(s.entries, en.key)
+		en.evicted = true
+	} else {
+		en.complete = true
+		en.size = entrySize(val)
+		s.bytes += en.size
+		s.evictLocked()
+	}
+	s.mu.Unlock()
+	close(en.done)
+	return !forget
+}
+
+// abandonOnPanic is deferred by the owner of entries. A panic in their
+// computation (a handler bug, a corrupt artifact tripping an invariant)
+// must not strand them: waiters would block on done forever and every
+// later request for the key would coalesce onto the wreck. So every owned
+// entry not yet finished is forgotten, like a cancellation, except that
+// the cached error makes current waiters fail rather than retry; the
+// panic then keeps unwinding to the caller's recovery.
+func (s *Session) abandonOnPanic(owned ...*entry) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.mu.Lock()
+	for _, en := range owned {
+		if en.complete || en.evicted {
+			continue // already finished
+		}
+		delete(s.entries, en.key)
+		en.evicted = true
+		en.err = fmt.Errorf("engine: computing %T cache entry: panic: %v", en.key, r)
+		close(en.done)
+	}
+	s.mu.Unlock()
+	panic(r)
+}
+
+// pinLocked pins a cached entry for one more holder, taking it off the
+// LRU list. The caller holds s.mu.
+func (s *Session) pinLocked(en *entry) {
+	en.refs++
+	if en.elem != nil {
+		s.lru.Remove(en.elem)
+		en.elem = nil
 	}
 }
 
@@ -426,68 +460,27 @@ func (s *Session) evictLocked() {
 	}
 }
 
-// do is get for callers that extract the value immediately and hold no
-// reference across further heavy work: the pin is dropped before returning.
-func (s *Session) do(ctx context.Context, k any, fn func(context.Context) (any, error)) (any, error) {
-	v, unpin, err := s.pinned(ctx, k, fn)
-	if err != nil {
-		return nil, err
-	}
-	unpin()
-	return v, nil
-}
-
-// pinned is get with the error split out of the entry: it returns the
-// value, an unpin closure the caller must invoke when done using the
-// value, and any cached computation error (already unpinned).
-func (s *Session) pinned(ctx context.Context, k any, fn func(context.Context) (any, error)) (any, func(), error) {
-	en, err := s.get(ctx, k, fn)
-	if err != nil {
-		return nil, nil, err
-	}
-	if en.err != nil {
-		s.release(en)
-		return nil, nil, en.err
-	}
-	return en.val, func() { s.release(en) }, nil
-}
-
-// Program returns the instantiated workload for (bm, seed, scale), building
-// it at most once per session. The returned program is immutable and
-// restartable, so the profiler and the simulator can share it.
-func (s *Session) Program(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64) (trace.Program, error) {
-	p, unpin, err := s.programPinned(ctx, bm, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	unpin()
-	return p, nil
-}
-
-// programPinned is Program with the cache entry pinned for the caller.
-func (s *Session) programPinned(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64) (trace.Program, func(), error) {
-	ctx, sp := obs.StartSpan(ctx, "build")
+// stage resolves one pipeline stage's cache entry k under the stage's
+// span sp, computing it via compute on a miss, and closes sp through
+// endStageSpan. The value comes back pinned: the caller must invoke unpin
+// when done using it. A cached computation error is returned already
+// unpinned.
+func (s *Session) stage(ctx context.Context, sp *obs.Span, k any, compute func(context.Context) (any, error)) (v any, unpin func(), err error) {
 	computed := false
-	v, unpin, err := s.pinned(ctx, progKey{Key{bm.Name, seed, scale}}, func(ctx context.Context) (any, error) {
+	en, err := s.get(ctx, k, func(ctx context.Context) (any, error) {
 		computed = true
-		wait, err := s.eng.acquireTimed(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer s.eng.release()
-		annotateWait(sp, wait)
-		start := time.Now()
-		p := bm.Build(seed, scale)
-		s.eng.emit(Event{Kind: EventBuild, Bench: bm.Name, Seed: seed, Scale: scale,
-			Duration: time.Since(start), Wait: wait})
-		return p, nil
+		return compute(ctx)
 	})
+	if err == nil && en.err != nil {
+		s.release(en)
+		err = en.err
+	}
 	if err != nil {
 		sp.End()
 		return nil, nil, err
 	}
-	endStageSpan(sp, computed, v)
-	return v.(trace.Program), unpin, nil
+	endStageSpan(sp, computed, en.val)
+	return en.val, func() { s.release(en) }, nil
 }
 
 // endStageSpan closes a pipeline-stage span with the cache outcome (miss
@@ -509,6 +502,60 @@ func endStageSpan(sp *obs.Span, computed bool, v any) {
 	sp.End()
 }
 
+// run does one stage's leaf work under a pool slot, noting the slot's
+// queue wait on the stage's span sp. When work succeeds, run emits ev with
+// the work's duration and the wait; a config-batched simulation passes its
+// configs as batch and gets one ev per config, sharing both evenly. keep,
+// if set, then receives the value, still under the slot: the persistence
+// hooks, whose writes do not count toward the stage's duration. Slots are
+// held only around leaf work, never while waiting on another cache entry,
+// so acquiring one cannot deadlock.
+func (s *Session) run(ctx context.Context, sp *obs.Span, ev Event, batch []arch.Config, work func() (any, error), keep func(any)) (any, error) {
+	wait, err := s.eng.acquireTimed(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer s.eng.release()
+	annotateWait(sp, wait)
+	start := time.Now()
+	v, err := work()
+	if err != nil {
+		return nil, err
+	}
+	n := time.Duration(max(len(batch), 1))
+	ev.Duration, ev.Wait = time.Since(start)/n, wait/n
+	if batch == nil {
+		s.eng.emit(ev)
+	}
+	for _, cfg := range batch {
+		ev.Config = cfg.Name
+		s.eng.emit(ev)
+	}
+	if keep != nil {
+		keep(v)
+	}
+	return v, nil
+}
+
+// load consults a persistence reload hook, when one is wired, under a pool
+// slot like any other artifact I/O, noting the queue wait on sp. A reload
+// costs no generation and no profiling pass.
+func load[K, V any](ctx context.Context, s *Session, sp *obs.Span, hook func(context.Context, K) (V, bool), k K) (v V, ok bool, err error) {
+	if hook == nil {
+		return v, false, nil
+	}
+	wait, err := s.eng.acquireTimed(ctx)
+	if err != nil {
+		return v, false, err
+	}
+	// The hook is serving-layer code; release the slot on its panic-unwind
+	// too, or N panics would wedge an N-slot pool.
+	defer s.eng.release()
+	annotateWait(sp, wait)
+	v, ok = hook(ctx, k)
+	return v, ok, nil
+}
+
 // annotateWait records a non-trivial pool-slot queue wait on the stage's
 // span. Nil-safe.
 func annotateWait(sp *obs.Span, wait time.Duration) {
@@ -516,6 +563,11 @@ func annotateWait(sp *obs.Span, wait time.Duration) {
 		return
 	}
 	sp.Annotate("pool_wait_us", strconv.FormatInt(wait.Microseconds(), 10))
+}
+
+// event is the progress event of one computation on k's workload.
+func (k Key) event(kind EventKind, config string) Event {
+	return Event{Kind: kind, Bench: k.Bench, Config: config, Seed: k.Seed, Scale: k.Scale}
 }
 
 // Recorded returns the packed replayable trace of (bm, seed, scale),
@@ -540,59 +592,41 @@ func (s *Session) Recorded(ctx context.Context, bm workload.Benchmark, seed uint
 func (s *Session) recordedPinned(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64) (*trace.Recorded, func(), error) {
 	k := Key{bm.Name, seed, scale}
 	ctx, sp := obs.StartSpan(ctx, "record")
-	computed := false
-	v, unpin, err := s.pinned(ctx, recKey{k}, func(ctx context.Context) (any, error) {
-		computed = true
+	v, unpin, err := s.stage(ctx, sp, recKey{k}, func(ctx context.Context) (any, error) {
 		// Reload hook first: a persisted trace is much cheaper than the
 		// generation pass (and does not need the program built at all).
-		if s.opts.LoadRecorded != nil {
-			wait, err := s.eng.acquireTimed(ctx)
-			if err != nil {
-				return nil, err
-			}
-			annotateWait(sp, wait)
-			rec, ok := func() (*trace.Recorded, bool) {
-				// The hook is serving-layer code; release the slot on its
-				// panic-unwind too, or N panics would wedge an N-slot pool.
-				defer s.eng.release()
-				return s.opts.LoadRecorded(ctx, k)
-			}()
-			if ok {
-				s.mu.Lock()
-				s.traceLoads++
-				s.mu.Unlock()
-				obs.Annotate(ctx, "trace_source", "persisted")
-				return rec, nil
-			}
-		}
-		prog, unpinProg, err := s.programPinned(ctx, bm, seed, scale)
+		rec, ok, err := load(ctx, s, sp, s.opts.LoadRecorded, k)
 		if err != nil {
 			return nil, err
 		}
-		defer unpinProg()
-		wait, err := s.eng.acquireTimed(ctx)
+		if ok {
+			s.mu.Lock()
+			s.traceLoads++
+			s.mu.Unlock()
+			obs.Annotate(ctx, "trace_source", "persisted")
+			return rec, nil
+		}
+		// The program is not cached on its own: the recording made from
+		// it is, and nothing else consumes it.
+		bctx, bsp := obs.StartSpan(ctx, "build")
+		prog, err := s.run(bctx, bsp, k.event(EventBuild, ""), nil,
+			func() (any, error) { return bm.Build(seed, scale), nil }, nil)
 		if err != nil {
+			bsp.End()
 			return nil, err
 		}
-		defer s.eng.release()
-		annotateWait(sp, wait)
-		start := time.Now()
-		rec, err := trace.Record(prog)
-		if err != nil {
-			return nil, err
-		}
-		s.eng.emit(Event{Kind: EventRecord, Bench: bm.Name, Seed: seed, Scale: scale,
-			Duration: time.Since(start), Wait: wait})
-		if s.opts.StoreRecorded != nil {
-			s.opts.StoreRecorded(ctx, k, rec)
-		}
-		return rec, nil
+		endStageSpan(bsp, true, prog)
+		return s.run(ctx, sp, k.event(EventRecord, ""), nil,
+			func() (any, error) { return trace.Record(prog.(trace.Program)) },
+			func(v any) {
+				if s.opts.StoreRecorded != nil {
+					s.opts.StoreRecorded(ctx, k, v.(*trace.Recorded))
+				}
+			})
 	})
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	endStageSpan(sp, computed, v)
 	return v.(*trace.Recorded), unpin, nil
 }
 
@@ -616,43 +650,18 @@ func (s *Session) ProfileOpts(ctx context.Context, bm workload.Benchmark, seed u
 }
 
 // profilePinned is ProfileOpts with the cache entry pinned for the caller.
-// The recorded trace stays pinned while the profiler replays it.
+// On a miss the persistence hook is consulted first, then the profiler
+// replays the recorded trace, which stays pinned while it does.
 func (s *Session) profilePinned(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, opts profiler.Options) (*profiler.Profile, func(), error) {
 	pk := ProfileKey{Key{bm.Name, seed, scale}, opts}
 	ctx, sp := obs.StartSpan(ctx, "profile")
 	computed := false
-	v, unpin, err := s.pinned(ctx, pk, func(ctx context.Context) (any, error) {
+	v, unpin, err := s.stage(ctx, sp, pk, func(ctx context.Context) (any, error) {
 		computed = true
-		return s.profileValue(ctx, bm, seed, scale, opts, pk)
-	})
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	if !computed {
-		s.mu.Lock()
-		s.profStats.Hits++
-		s.mu.Unlock()
-	}
-	endStageSpan(sp, computed, v)
-	return v.(*profiler.Profile), unpin, nil
-}
-
-// profileValue obtains the profile for pk on a cache miss: the persistence
-// hook first, then the profiling pass over the recorded trace.
-func (s *Session) profileValue(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, opts profiler.Options, pk ProfileKey) (any, error) {
-	if s.opts.LoadProfile != nil {
-		// The reload runs under an engine slot like any other artifact
-		// I/O, but costs no generation and no profiling pass.
-		if err := s.eng.acquire(ctx); err != nil {
+		prof, ok, err := load(ctx, s, sp, s.opts.LoadProfile, pk)
+		if err != nil {
 			return nil, err
 		}
-		prof, ok := func() (*profiler.Profile, bool) {
-			// Release the slot on the hook's panic-unwind too (see
-			// LoadRecorded).
-			defer s.eng.release()
-			return s.opts.LoadProfile(ctx, pk)
-		}()
 		if ok {
 			s.mu.Lock()
 			s.profStats.Loads++
@@ -660,32 +669,32 @@ func (s *Session) profileValue(ctx context.Context, bm workload.Benchmark, seed 
 			obs.Annotate(ctx, "profile_source", "persisted")
 			return prof, nil
 		}
-	}
-	prog, unpinRec, err := s.recordedPinned(ctx, bm, seed, scale)
+		rec, unpinRec, err := s.recordedPinned(ctx, bm, seed, scale)
+		if err != nil {
+			return nil, err
+		}
+		defer unpinRec()
+		obs.Annotate(ctx, "profile_source", "profiler")
+		return s.run(ctx, sp, pk.event(EventProfile, ""), nil,
+			func() (any, error) { return profiler.Run(rec, opts) },
+			func(v any) {
+				s.mu.Lock()
+				s.profStats.Runs++
+				s.mu.Unlock()
+				if s.opts.StoreProfile != nil {
+					s.opts.StoreProfile(ctx, pk, v.(*profiler.Profile))
+				}
+			})
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer unpinRec()
-	wait, err := s.eng.acquireTimed(ctx)
-	if err != nil {
-		return nil, err
+	if !computed {
+		s.mu.Lock()
+		s.profStats.Hits++
+		s.mu.Unlock()
 	}
-	defer s.eng.release()
-	obs.Annotate(ctx, "profile_source", "profiler")
-	start := time.Now()
-	prof, err := profiler.Run(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.profStats.Runs++
-	s.mu.Unlock()
-	s.eng.emit(Event{Kind: EventProfile, Bench: bm.Name, Seed: seed, Scale: scale,
-		Duration: time.Since(start), Wait: wait})
-	if s.opts.StoreProfile != nil {
-		s.opts.StoreProfile(ctx, pk, prof)
-	}
-	return prof, nil
+	return v.(*profiler.Profile), unpin, nil
 }
 
 // Simulate returns the cycle-level reference simulation of (bm, seed,
@@ -702,11 +711,10 @@ func (s *Session) Simulate(ctx context.Context, bm workload.Benchmark, seed uint
 // must replay bit-identically to the recording (trace.Decode guarantees
 // this); results share the simulation cache either way.
 func (s *Session) simulateOn(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config, progFn func() trace.Program) (*sim.Result, error) {
+	k := Key{bm.Name, seed, scale}
 	ctx, sp := obs.StartSpan(ctx, "simulate")
 	sp.Annotate("config", cfg.Name)
-	computed := false
-	v, err := s.do(ctx, simKey{Key{bm.Name, seed, scale}, cfg}, func(ctx context.Context) (any, error) {
-		computed = true
+	v, unpin, err := s.stage(ctx, sp, simKey{k, cfg}, func(ctx context.Context) (any, error) {
 		var p trace.Program
 		if progFn != nil {
 			p = progFn()
@@ -719,26 +727,13 @@ func (s *Session) simulateOn(ctx context.Context, bm workload.Benchmark, seed ui
 			defer unpinRec()
 			p = rec
 		}
-		wait, err := s.eng.acquireTimed(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer s.eng.release()
-		annotateWait(sp, wait)
-		start := time.Now()
-		res, err := sim.Run(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.eng.emit(Event{Kind: EventSimulate, Bench: bm.Name, Config: cfg.Name,
-			Seed: seed, Scale: scale, Duration: time.Since(start), Wait: wait})
-		return res, nil
+		return s.run(ctx, sp, k.event(EventSimulate, cfg.Name), nil,
+			func() (any, error) { return sim.Run(p, cfg) }, nil)
 	})
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	endStageSpan(sp, computed, v)
+	unpin()
 	return v.(*sim.Result), nil
 }
 
@@ -770,13 +765,6 @@ func (s *Session) SimulateSweep(ctx context.Context, bm workload.Benchmark, seed
 // caches).
 func (s *Session) SimulatePredictSweep(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config) ([]*sim.Result, []*core.Prediction, error) {
 	return s.sweep(ctx, bm, seed, scale, cfgs, true, 0)
-}
-
-// claim records one simulation cache slot a batch group claimed for
-// computation.
-type claim struct {
-	idx int
-	en  *entry
 }
 
 // maxBatchWidth caps the automatic batch width: beyond a handful of
@@ -913,16 +901,17 @@ func (s *Session) sweep(ctx context.Context, bm workload.Benchmark, seed uint64,
 // simulateBatch resolves one batch of sweep configurations against the
 // simulation cache and computes every missing one in a single
 // config-batched sim.RunBatch pass over the shared decoded trace, under
-// one pool slot. Cache semantics mirror get() exactly: missing keys are
-// claimed as pinned singleflight slots that concurrent requesters
-// coalesce onto; a context-canceled computation is forgotten (removed
-// before done is closed) so live requesters recompute; a genuine failure
-// is cached. Configurations already present — completed or in flight —
-// are fetched through simulateOn, which pins, coalesces and retries as
-// usual. One EventSimulate is emitted per computed configuration with the
-// batch's amortized duration.
+// one pool slot. It claims the missing keys as owned entries, exactly as
+// get would one at a time, and publishes each through finish; a panic in
+// the pass abandons them all. Configurations already present, completed
+// or in flight, are fetched through simulateOn, which pins, coalesces and
+// retries as usual. One EventSimulate is emitted per computed
+// configuration with the batch's amortized duration.
 func (s *Session) simulateBatch(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfgs []arch.Config, out []*sim.Result, progFn func() trace.Program) error {
-	var claimed []claim
+	k := Key{bm.Name, seed, scale}
+	var owned []*entry
+	var batch []arch.Config
+	var at []int // index in cfgs of each owned entry
 	s.mu.Lock()
 	for i := range cfgs {
 		if cfgs[i].Validate() != nil {
@@ -932,106 +921,32 @@ func (s *Session) simulateBatch(ctx context.Context, bm workload.Benchmark, seed
 			// only, exactly as a per-config sweep would.
 			continue
 		}
-		k := simKey{Key{bm.Name, seed, scale}, cfgs[i]}
-		if _, ok := s.entries[k]; ok {
-			continue // hit or in-flight: resolved via simulateOn below
+		if en, owner := s.claimLocked(simKey{k, cfgs[i]}); owner {
+			owned, batch, at = append(owned, en), append(batch, cfgs[i]), append(at, i)
 		}
-		en := &entry{done: make(chan struct{}), key: k, refs: 1}
-		s.entries[k] = en
-		s.misses++
-		claimed = append(claimed, claim{i, en})
 	}
 	s.mu.Unlock()
 
-	if len(claimed) > 0 {
-		batchCfgs := make([]arch.Config, len(claimed))
-		for i, c := range claimed {
-			batchCfgs[i] = cfgs[c.idx]
+	if len(owned) > 0 {
+		defer s.abandonOnPanic(owned...)
+		bctx, sp := obs.StartSpan(ctx, "simulate-batch")
+		sp.Annotate("width", strconv.Itoa(len(owned)))
+		sp.Annotate("cache", "miss")
+		v, err := s.run(bctx, sp, k.event(EventSimulate, ""), batch,
+			func() (any, error) { return sim.RunBatch(progFn(), batch) }, nil)
+		sp.End()
+		for j, en := range owned {
+			var val any
+			if err == nil {
+				res := v.([]*sim.Result)[j]
+				out[at[j]], val = res, res
+			}
+			if s.finish(en, val, err) {
+				s.release(en)
+			}
 		}
-		// Mirror get()'s panic discipline for the claimed slots: forget
-		// every claim and wake its waiters with an error before the panic
-		// keeps unwinding, so a batch-pass panic cannot wedge the cache.
-		defer func() {
-			if r := recover(); r != nil {
-				s.mu.Lock()
-				for _, c := range claimed {
-					if c.en.complete || c.en.evicted {
-						continue
-					}
-					delete(s.entries, c.en.key)
-					c.en.evicted = true
-					c.en.err = fmt.Errorf("engine: batch simulation: panic: %v", r)
-					close(c.en.done)
-				}
-				s.mu.Unlock()
-				panic(r)
-			}
-		}()
-		results, err := func() ([]*sim.Result, error) {
-			bctx, bsp := obs.StartSpan(ctx, "simulate-batch")
-			defer bsp.End()
-			if bsp != nil {
-				bsp.Annotate("width", strconv.Itoa(len(claimed)))
-				bsp.Annotate("cache", "miss")
-			}
-			wait, err := s.eng.acquireTimed(bctx)
-			if err != nil {
-				return nil, err
-			}
-			defer s.eng.release()
-			annotateWait(bsp, wait)
-			start := time.Now()
-			results, err := sim.RunBatch(progFn(), batchCfgs)
-			if err != nil {
-				return nil, err
-			}
-			per := time.Since(start) / time.Duration(len(claimed))
-			perWait := wait / time.Duration(len(claimed))
-			for j := range claimed {
-				s.eng.emit(Event{Kind: EventSimulate, Bench: bm.Name, Config: batchCfgs[j].Name,
-					Seed: seed, Scale: scale, Duration: per, Wait: perWait})
-			}
-			return results, nil
-		}()
 		if err != nil {
-			forget := isCtxErr(err)
-			s.mu.Lock()
-			for _, c := range claimed {
-				c.en.err = err
-				if forget {
-					delete(s.entries, c.en.key)
-					c.en.evicted = true
-				} else {
-					c.en.complete = true
-					c.en.size = entrySize(nil)
-					s.bytes += c.en.size
-				}
-			}
-			if !forget {
-				s.evictLocked()
-			}
-			s.mu.Unlock()
-			for _, c := range claimed {
-				close(c.en.done)
-				if !forget {
-					s.release(c.en)
-				}
-			}
 			return err
-		}
-		s.mu.Lock()
-		for j, c := range claimed {
-			c.en.val = results[j]
-			c.en.complete = true
-			c.en.size = entrySize(results[j])
-			s.bytes += c.en.size
-		}
-		s.evictLocked()
-		s.mu.Unlock()
-		for j, c := range claimed {
-			close(c.en.done)
-			out[c.idx] = results[j]
-			s.release(c.en)
 		}
 	}
 
@@ -1058,36 +973,22 @@ func (s *Session) Predict(ctx context.Context, bm workload.Benchmark, seed uint6
 // options: the ablation studies disable individual profiling or model
 // mechanisms. Each options combination is cached independently.
 func (s *Session) PredictModel(ctx context.Context, bm workload.Benchmark, seed uint64, scale float64, cfg arch.Config, profOpts profiler.Options, modelOpts interval.ModelOptions) (*core.Prediction, error) {
+	k := Key{bm.Name, seed, scale}
 	ctx, sp := obs.StartSpan(ctx, "predict")
 	sp.Annotate("config", cfg.Name)
-	computed := false
-	v, err := s.do(ctx, predKey{Key{bm.Name, seed, scale}, cfg, profOpts, modelOpts}, func(ctx context.Context) (any, error) {
-		computed = true
+	v, unpin, err := s.stage(ctx, sp, predKey{k, cfg, profOpts, modelOpts}, func(ctx context.Context) (any, error) {
 		prof, unpinProf, err := s.profilePinned(ctx, bm, seed, scale, profOpts)
 		if err != nil {
 			return nil, err
 		}
 		defer unpinProf()
-		wait, err := s.eng.acquireTimed(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer s.eng.release()
-		annotateWait(sp, wait)
-		start := time.Now()
-		pred, err := core.PredictOpts(prof, cfg, modelOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.eng.emit(Event{Kind: EventPredict, Bench: bm.Name, Config: cfg.Name,
-			Seed: seed, Scale: scale, Duration: time.Since(start), Wait: wait})
-		return pred, nil
+		return s.run(ctx, sp, k.event(EventPredict, cfg.Name), nil,
+			func() (any, error) { return core.PredictOpts(prof, cfg, modelOpts) }, nil)
 	})
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	endStageSpan(sp, computed, v)
+	unpin()
 	return v.(*core.Prediction), nil
 }
 

@@ -3,12 +3,12 @@ package prng
 import "math"
 
 // This file is the access-distribution layer behind the synthetic workload
-// families (internal/workload/families.go): YCSB-style zipfian, hotspot and
-// latest generators in the same exact threshold-table discipline as
-// GeometricTable and PickTable. Every sampler here is bit-identical to a
-// naive floating-point reference form (kept in dist_test.go and checked
-// draw for draw), so a family's address stream is a pure function of its
-// seed regardless of which form generates it.
+// families (internal/workload/families.go): a YCSB-style zipfian generator
+// in the same exact threshold-table discipline as GeometricTable and
+// PickTable. The sampler is bit-identical to a naive floating-point
+// reference form (kept in dist_test.go and checked draw for draw), so a
+// family's address stream is a pure function of its seed regardless of
+// which form generates it.
 
 // ZipfTable samples ranks in [0, n) with P(rank) proportional to
 // 1/(rank+1)^theta — rank 0 is the most popular item. The naive reference
@@ -96,110 +96,4 @@ func (t *ZipfTable) Sample(s *Source) int {
 		}
 	}
 	return lo
-}
-
-// HotspotTable samples keys in [0, n): a hot prefix of hotN keys receives
-// hotFrac of the draws, the cold remainder the rest, both uniformly —
-// YCSB's hotspot distribution. The table form precomputes the Bool
-// threshold (exact, see BoolThresh) and the power-of-two masks for the
-// two uniform draws, making Sample bit-identical to the naive
-//
-//	if s.Bool(hotFrac) { return s.Intn(hotN) }
-//	return hotN + s.Intn(n-hotN)
-//
-// while consuming the same two draws.
-type HotspotTable struct {
-	hotT         float64
-	hotN, coldN  uint64
-	hotMask      uint64 // hotN-1 when hotN is a power of two, else 0
-	coldMask     uint64
-	totalN       int
-	hotFraction  float64
-	hotItemCount int
-}
-
-// NewHotspotTable builds a hotspot sampler: n items, the first hotN of
-// which receive hotFrac of all draws. hotN must be in [1, n) and hotFrac
-// in [0, 1].
-func NewHotspotTable(n, hotN int, hotFrac float64) *HotspotTable {
-	if n < 2 || hotN < 1 || hotN >= n {
-		panic("prng: HotspotTable needs 1 <= hotN < n")
-	}
-	if hotFrac < 0 || hotFrac > 1 {
-		panic("prng: HotspotTable needs hotFrac in [0, 1]")
-	}
-	t := &HotspotTable{
-		hotT:   BoolThresh(hotFrac),
-		hotN:   uint64(hotN),
-		coldN:  uint64(n - hotN),
-		totalN: n, hotFraction: hotFrac, hotItemCount: hotN,
-	}
-	t.hotMask = powerOfTwoMask(t.hotN)
-	t.coldMask = powerOfTwoMask(t.coldN)
-	return t
-}
-
-// powerOfTwoMask returns n-1 when n is a power of two (making the uniform
-// draw a single mask, bit-identical to the modulo), else 0.
-func powerOfTwoMask(n uint64) uint64 {
-	if n > 0 && n&(n-1) == 0 {
-		return n - 1
-	}
-	return 0
-}
-
-// N returns the item count.
-func (t *HotspotTable) N() int { return t.totalN }
-
-// HotN returns the hot-set size.
-func (t *HotspotTable) HotN() int { return t.hotItemCount }
-
-// HotFrac returns the fraction of draws that land in the hot set.
-func (t *HotspotTable) HotFrac() float64 { return t.hotFraction }
-
-// Sample returns the key for the next draws (one Bool draw plus one
-// uniform draw, exactly like the naive form).
-func (t *HotspotTable) Sample(s *Source) int {
-	if s.BoolT(t.hotT) {
-		return int(maskedUniform(s, t.hotN, t.hotMask))
-	}
-	return int(t.hotN + maskedUniform(s, t.coldN, t.coldMask))
-}
-
-// maskedUniform draws a uniform value in [0, n), using the mask fast path
-// for power-of-two n; both branches are bit-identical to Uint64n(n).
-func maskedUniform(s *Source, n, mask uint64) uint64 {
-	if mask != 0 {
-		return s.Uint64() & mask
-	}
-	return s.Uint64n(n)
-}
-
-// LatestTable samples recency offsets: Sample(s, max) returns a position
-// in [0, max] skewed toward max — YCSB's "latest" distribution, where the
-// most recently inserted item is the most popular. The skew is a zipfian
-// over a fixed window of the most recent positions: offset rank 0 (the
-// newest) is the most popular, and the window wraps over [0, max] while
-// fewer than window positions exist. Bit-identical to the naive form
-//
-//	max - zipfNaive(s) % (max+1)
-//
-// consuming exactly one draw.
-type LatestTable struct {
-	z *ZipfTable
-}
-
-// NewLatestTable builds a latest sampler whose recency window holds
-// window positions with exponent theta.
-func NewLatestTable(window int, theta float64) *LatestTable {
-	return &LatestTable{z: NewZipfTable(window, theta)}
-}
-
-// Window returns the recency-window size.
-func (t *LatestTable) Window() int { return t.z.N() }
-
-// Sample returns a position in [0, max] skewed toward max.
-func (t *LatestTable) Sample(s *Source, max uint64) uint64 {
-	d := uint64(t.z.Sample(s)) % (max + 1)
-	return max - d
 }

@@ -1,9 +1,6 @@
 package prng
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // zipfNaive is the reference form of ZipfTable.Sample: draw u = Float64()
 // and linearly scan the cumulative distribution for the first rank with
@@ -17,14 +14,6 @@ func zipfNaive(s *Source, cum []float64) int {
 		}
 	}
 	return len(cum) - 1
-}
-
-// hotspotNaive is the reference form of HotspotTable.Sample.
-func hotspotNaive(s *Source, n, hotN int, hotFrac float64) int {
-	if s.Bool(hotFrac) {
-		return int(s.Uint64n(uint64(hotN)))
-	}
-	return hotN + int(s.Uint64n(uint64(n-hotN)))
 }
 
 // TestZipfTableDifferential checks table == naive scan draw for draw over
@@ -109,103 +98,10 @@ func TestZipfTableSkew(t *testing.T) {
 	}
 }
 
-// TestHotspotTableDifferential checks table == naive form draw for draw
-// across power-of-two and non-power-of-two set sizes.
-func TestHotspotTableDifferential(t *testing.T) {
-	draws := 200000
-	if testing.Short() {
-		draws = 20000
-	}
-	cases := []struct {
-		n, hotN int
-		frac    float64
-	}{
-		{1024, 64, 0.8},
-		{1000, 100, 0.9},
-		{4096, 1, 0.5},
-		{640, 128, 0.0},
-		{512, 511, 1.0},
-	}
-	for _, c := range cases {
-		tab := NewHotspotTable(c.n, c.hotN, c.frac)
-		a, b := New(uint64(c.n)), New(uint64(c.n))
-		for i := 0; i < draws; i++ {
-			want := hotspotNaive(a, c.n, c.hotN, c.frac)
-			got := tab.Sample(b)
-			if got != want {
-				t.Fatalf("%+v draw %d: Sample=%d want=%d", c, i, got, want)
-			}
-		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("%+v: generator states diverged", c)
-		}
-	}
-}
-
-// TestHotspotTableMass checks the hot set actually receives its share.
-func TestHotspotTableMass(t *testing.T) {
-	tab := NewHotspotTable(4096, 256, 0.8)
-	s := New(11)
-	n := 100000
-	hot := 0
-	for i := 0; i < n; i++ {
-		if tab.Sample(s) < 256 {
-			hot++
-		}
-	}
-	if frac := float64(hot) / float64(n); math.Abs(frac-0.8) > 0.01 {
-		t.Fatalf("hot fraction %.3f, want ~0.8", frac)
-	}
-}
-
-// TestLatestTableDifferential checks table == naive form draw for draw,
-// including the early positions where the window wraps.
-func TestLatestTableDifferential(t *testing.T) {
-	draws := 50000
-	if testing.Short() {
-		draws = 5000
-	}
-	window := 256
-	tab := NewLatestTable(window, 0.99)
-	cum := zipfCum(window, 0.99)
-	a, b := New(3), New(3)
-	for i := 0; i < draws; i++ {
-		max := uint64(i % 1000) // sweeps through wrap (< window) and steady state
-		want := max - uint64(zipfNaive(a, cum))%(max+1)
-		got := tab.Sample(b, max)
-		if got != want {
-			t.Fatalf("draw %d max=%d: Sample=%d want=%d", i, max, got, want)
-		}
-	}
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("generator states diverged")
-	}
-}
-
-// TestLatestTableRecency checks the newest position dominates.
-func TestLatestTableRecency(t *testing.T) {
-	tab := NewLatestTable(128, 0.99)
-	s := New(5)
-	const max = uint64(1 << 20)
-	n := 100000
-	newest := 0
-	for i := 0; i < n; i++ {
-		if tab.Sample(s, max) == max {
-			newest++
-		}
-	}
-	if frac := float64(newest) / float64(n); frac < 0.1 {
-		t.Fatalf("newest position drew only %.3f of accesses, want the zipf head share", frac)
-	}
-}
-
 func TestZipfTablePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewZipfTable(0, 0.99) },
 		func() { NewZipfTable(8, 0) },
-		func() { NewHotspotTable(1, 1, 0.5) },
-		func() { NewHotspotTable(8, 8, 0.5) },
-		func() { NewHotspotTable(8, 2, 1.5) },
 	} {
 		func() {
 			defer func() {

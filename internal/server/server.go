@@ -64,9 +64,6 @@ type Config struct {
 	// request. Nil discards operational messages and skips access logging
 	// entirely, keeping the warm serving path log-free.
 	Log *slog.Logger
-	// TraceRing overrides the capacity of the recent-request trace ring
-	// behind /debug/requests; 0 selects obs.DefaultRingSize.
-	TraceRing int
 }
 
 // DefaultMaxInflight is the admission bound when Config.MaxInflight is 0:
@@ -143,7 +140,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		admit:   make(chan struct{}, cfg.MaxInflight),
-		ring:    obs.NewRing(cfg.TraceRing),
+		ring:    obs.NewRing(obs.DefaultRingSize),
 		started: time.Now(),
 	}
 	s.log = cfg.Log

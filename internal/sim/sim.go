@@ -213,8 +213,6 @@ type simLock struct {
 	held   bool
 	holder int
 	queue  []int
-	// releaseTime is the clock at which the lock last became free.
-	releaseTime float64
 }
 
 type simBarrier struct {
@@ -628,7 +626,6 @@ func (e *engine) handleSync(st *simThread, ev trace.Event) {
 			st.resumeAt(st.clock + ov)
 			return
 		}
-		l.releaseTime = st.clock
 		if len(l.queue) > 0 {
 			next := e.threads[l.queue[0]]
 			l.queue = l.queue[1:]
