@@ -60,7 +60,16 @@ type Profile struct {
 	// re-sorting per call dominated those accessors. Dropped on mutation;
 	// atomic because finished profiles are read by concurrent prediction
 	// workers (racing builders store identical contents).
-	sorted atomic.Pointer[[]SiteStats]
+	sorted atomic.Pointer[[]sortedSite]
+}
+
+// sortedSite is one site of the sorted snapshot, with its 2-bit counter
+// miss-rate floor: the floor depends only on the site's taken probability,
+// never on the predictor, so the snapshot computes it once for every
+// MissRate call.
+type sortedSite struct {
+	SiteStats
+	floor float64
 }
 
 // NewProfile returns an empty branch profile.
@@ -143,7 +152,7 @@ func (p *Profile) NumSites() int { return p.sites.Len() }
 // lazily on the first prediction, and accounting must not depend on when
 // the measurement ran relative to that.
 func (p *Profile) SizeBytes() int64 {
-	return p.sites.SizeBytes() + int64(p.sites.Len())*int64(unsafe.Sizeof(SiteStats{}))
+	return p.sites.SizeBytes() + int64(p.sites.Len())*int64(unsafe.Sizeof(sortedSite{}))
 }
 
 // Record adds one dynamic branch execution to the profile.
@@ -188,12 +197,13 @@ func (p *Profile) Branches() uint64 {
 	return n
 }
 
-// sortedSites returns the per-site stats in ascending site-id order.
-// Floating-point accumulations over the profile must follow this order:
-// iterating the site table directly would make the sums depend on the
-// table's slot order, which varies with growth history and would break
-// run-to-run reproducibility of predictions.
-func (p *Profile) sortedSites() []SiteStats {
+// sortedSites returns the per-site stats, with their counter miss-rate
+// floors, in ascending site-id order. Floating-point accumulations over
+// the profile must follow this order: iterating the site table directly
+// would make the sums depend on the table's slot order, which varies with
+// growth history and would break run-to-run reproducibility of
+// predictions.
+func (p *Profile) sortedSites() []sortedSite {
 	if cached := p.sorted.Load(); cached != nil {
 		return *cached
 	}
@@ -206,9 +216,9 @@ func (p *Profile) sortedSites() []SiteStats {
 		entries = append(entries, entry{id: id, s: *s})
 	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	out := make([]SiteStats, len(entries))
+	out := make([]sortedSite, len(entries))
 	for i := range entries {
-		out[i] = entries[i].s
+		out[i] = sortedSite{entries[i].s, counterMissRate(entries[i].s.TakenP)}
 	}
 	p.sorted.Store(&out)
 	return out
@@ -270,8 +280,7 @@ func (p *Profile) MissRate(predictorBytes int) float64 {
 	var total, acc float64
 	for _, s := range p.sortedSites() {
 		w := float64(s.Count)
-		floor := counterMissRate(s.TakenP)
-		m := floor + (0.5-floor)*pressure
+		m := s.floor + (0.5-s.floor)*pressure
 		acc += w * m
 		total += w
 	}

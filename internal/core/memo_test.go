@@ -106,9 +106,11 @@ func TestAggregateAfterPredictions(t *testing.T) {
 }
 
 // BenchmarkPredictSweep is the model alone: one resident profile predicted
-// on 16 design points per iteration, profiling excluded. The first
-// iteration builds the profile's StatStack models; every later one reuses
-// them, as a design-space sweep does.
+// on 16 design points per iteration, profiling excluded. An untimed pass
+// first builds the profile's per-epoch memos (StatStack models, ILP walks,
+// branch snapshots), so every timed iteration reuses them, even at
+// -benchtime 1x. BenchmarkPredictSweepFirstTouch measures sweeps that
+// start with them empty.
 func BenchmarkPredictSweep(b *testing.B) {
 	bm, err := workload.ByName("streamcluster")
 	if err != nil {
@@ -119,16 +121,88 @@ func BenchmarkPredictSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfgs := arch.SweepSpace(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sweep := func() {
 		for _, cfg := range cfgs {
 			if _, err := Predict(prof, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs))/1e6, "ms/config")
+}
+
+// BenchmarkPredictSweepFirstTouch is a design-space sweep's amortized
+// cost per point: every iteration predicts a freshly decoded profile,
+// whose per-epoch memos (StatStack models, ILP walks, branch snapshots)
+// are empty, on all 256 SweepSpace points. Decoding is excluded.
+func BenchmarkPredictSweepFirstTouch(b *testing.B) {
+	bm, err := workload.ByName("streamcluster")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := profiler.Run(bm.Build(1, 0.05), profiler.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := profilefmt.Encode(prof, profiler.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs := arch.SweepSpace(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, _, err := profilefmt.Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, cfg := range cfgs {
+			if _, err := Predict(fresh, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs))/1e6, "ms/config")
+}
+
+// TestSizeBytesStableAcrossPredictions: a profile's accounted size does
+// not depend on whether predictions have built its per-epoch memos yet.
+func TestSizeBytesStableAcrossPredictions(t *testing.T) {
+	for _, name := range []string{"streamcluster", "kmeans"} {
+		prof := decodedProfile(t, name, 0.05)
+		var before []int64
+		for _, tp := range prof.Threads {
+			for _, ep := range tp.Epochs {
+				before = append(before, ep.SizeBytes())
+			}
+		}
+		total := prof.SizeBytes()
+		for _, cfg := range arch.SweepSpace(16) {
+			if _, err := Predict(prof, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		for tid, tp := range prof.Threads {
+			for ei, ep := range tp.Epochs {
+				if got := ep.SizeBytes(); got != before[i] {
+					t.Fatalf("%s t%d e%d: SizeBytes %d before predictions, %d after", name, tid, ei, before[i], got)
+				}
+				i++
+			}
+		}
+		if got := prof.SizeBytes(); got != total {
+			t.Fatalf("%s: profile SizeBytes %d before predictions, %d after", name, total, got)
+		}
+	}
 }
 
 // raceEnabled is set by race_test.go in -race builds.

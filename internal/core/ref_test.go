@@ -86,3 +86,48 @@ func TestBaselinesMatchThreadSum(t *testing.T) {
 		})
 	}
 }
+
+// TestFinishNotBeforePhaseOne: for every registry entry on every point of
+// a 16-config sweep, each thread finishes no earlier than its own phase-1
+// work (Σ EpochActive, summed in epoch order) and the prediction no
+// earlier than any thread's. Phase 2 adds each epoch's active time to the
+// thread's clock in epoch order, and only ever adds idle time or
+// synchronization overhead besides, so the bound holds bit for bit.
+// -short checks the fixed suite only.
+func TestFinishNotBeforePhaseOne(t *testing.T) {
+	reg, err := workload.DefaultSuites()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := arch.SweepSpace(16)
+	for _, e := range reg.Entries {
+		if testing.Short() && e.Family != "" {
+			continue
+		}
+		bm, err := e.Benchmark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := profiler.Run(bm.Build(e.Seed, e.Scale), profiler.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, cfg := range cfgs {
+			pred, err := Predict(prof, cfg)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", e.Name, cfg.Name, err)
+			}
+			for tid := range pred.Threads {
+				tp := &pred.Threads[tid]
+				phase1 := 0.0
+				for _, a := range tp.EpochActive {
+					phase1 += a
+				}
+				if tp.FinishCycle < phase1 || pred.Cycles < phase1 {
+					t.Errorf("%s on %s thread %d: finish %v, prediction %v, phase-1 sum %v",
+						e.Name, cfg.Name, tid, tp.FinishCycle, pred.Cycles, phase1)
+				}
+			}
+		}
+	}
+}

@@ -34,36 +34,50 @@ type Result struct {
 }
 
 // classLatencies returns the execution latency of every class used for
-// critical-path weighting. Loads are weighted with the L1 hit latency: the
-// base component assumes cache hits, misses are charged to the memory
-// components.
-func classLatencies(cfg *arch.Config) [trace.NumClasses]float64 {
+// critical-path weighting. Loads are weighted with the L1 hit latency
+// loadLat: the base component assumes cache hits, misses are charged to
+// the memory components.
+func classLatencies(loadLat int) [trace.NumClasses]float64 {
 	var lat [trace.NumClasses]float64
 	for c := range lat {
 		lat[c] = float64(trace.Class(c).ExecLatency())
 	}
-	lat[trace.Load] = float64(cfg.L1D.HitLatency)
+	lat[trace.Load] = float64(loadLat)
 	return lat
 }
 
-// Analyze computes Deff and Cres for a set of micro-trace windows under a
-// configuration. mix is the epoch's instruction-class distribution used for
-// functional-unit contention.
-func Analyze(windows []profiler.Window, mix [trace.NumClasses]uint64, cfg *arch.Config) Result {
+// Analyze computes Deff and Cres for an epoch's micro-trace windows under
+// a configuration; the epoch's instruction-class mix sets the
+// functional-unit contention bound. The window walk reads only the ROB
+// length, clamped to the longest window, and the L1D hit latency, so its
+// result is memoized on the epoch under that key (profiler.ILPWalkKey):
+// predicting an epoch on many configurations walks it once per key.
+func Analyze(ep *profiler.Epoch, cfg *arch.Config) Result {
 	res := Result{
 		Deff: float64(cfg.DispatchWidth),
 		Cres: float64(cfg.L1D.HitLatency), // floor when no branches observed
 	}
 
-	ilpIPC, cres, haveILP, haveBranches := windowILP(windows, cfg)
-	if haveILP && ilpIPC < res.Deff {
-		res.Deff = ilpIPC
-	}
-	if haveBranches {
-		res.Cres = cres
+	if len(ep.Windows) > 0 {
+		longest := 0
+		for wi := range ep.Windows {
+			longest = max(longest, ep.Windows[wi].Len())
+		}
+		key := profiler.ILPWalkKey{ROB: min(cfg.ROBSize, longest), LoadLatency: cfg.L1D.HitLatency}
+		walk, ok := ep.ILPWalk(key)
+		if !ok {
+			walk = windowILP(ep.Windows, key)
+			ep.StoreILPWalk(key, walk)
+		}
+		if walk.HaveILP && walk.IPC < res.Deff {
+			res.Deff = walk.IPC
+		}
+		if walk.HaveBranches {
+			res.Cres = walk.Cres
+		}
 	}
 
-	if fu := fuLimit(mix, cfg); fu < res.Deff {
+	if fu := fuLimit(ep.Mix, cfg); fu < res.Deff {
 		res.Deff = fu
 	}
 	if res.Deff < 0.1 {
@@ -117,30 +131,27 @@ func fuLimit(mix [trace.NumClasses]uint64, cfg *arch.Config) float64 {
 // predictions neither allocate nor zero them.
 var depthPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// windowILP walks the micro-traces, partitions them into ROB-sized chunks,
-// and returns the harmonic-mean IPC bound W/L plus the mean branch
-// resolution depth. Every window class must be below trace.NumClasses and
-// every dependence must name an earlier instruction (or -1), as the
-// profiler emits and the profile codec enforces.
-func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, haveILP, haveBranches bool) {
-	classLat := classLatencies(cfg)
-	rob := cfg.ROBSize
+// windowILP walks the micro-traces, partitions them into k.ROB-sized
+// chunks, and returns the harmonic-mean IPC bound W/L plus the mean branch
+// resolution depth. k.ROB must be clamped to the longest window, as
+// Analyze does, and be positive when any window holds an instruction.
+// Every window class must be below trace.NumClasses and every dependence
+// must name an earlier instruction (or -1), as the profiler emits and the
+// profile codec enforces.
+func windowILP(windows []profiler.Window, k profiler.ILPWalkKey) profiler.ILPWalk {
+	classLat := classLatencies(k.LoadLatency)
+	rob := k.ROB
 	var cycleSum, instrSum float64
 	var branchDepthSum float64
 	var branchCount float64
 
-	// A chunk never spans windows, so it is at most min(ROB, longest
-	// window) long: size the buffer to that, not to the ROB.
-	chunk := 0
-	for wi := range windows {
-		chunk = max(chunk, windows[wi].Len())
-	}
-	chunk = min(chunk, rob)
+	// A chunk never spans windows, so the clamped ROB is the longest
+	// chunk: the buffer is sized to it, not to the configured ROB.
 	buf := depthPool.Get().(*[]float64)
-	if cap(*buf) < chunk {
-		*buf = make([]float64, chunk)
+	if cap(*buf) < rob {
+		*buf = make([]float64, rob)
 	}
-	depth := (*buf)[:chunk]
+	depth := (*buf)[:rob]
 	for wi := range windows {
 		w := &windows[wi]
 		n := w.Len()
@@ -184,13 +195,14 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 		}
 	}
 	depthPool.Put(buf)
+	var walk profiler.ILPWalk
 	if instrSum > 0 && cycleSum > 0 {
-		ipc = instrSum / cycleSum
-		haveILP = true
+		walk.IPC = instrSum / cycleSum
+		walk.HaveILP = true
 	}
 	if branchCount > 0 {
-		cres = branchDepthSum / branchCount
-		haveBranches = true
+		walk.Cres = branchDepthSum / branchCount
+		walk.HaveBranches = true
 	}
-	return
+	return walk
 }

@@ -39,6 +39,11 @@ func independentWindow(n int, cls trace.Class) profiler.Window {
 	return w
 }
 
+// analyze runs Analyze on a fresh epoch holding the windows and mix.
+func analyze(cfg *arch.Config, mix [trace.NumClasses]uint64, windows ...profiler.Window) Result {
+	return Analyze(&profiler.Epoch{Mix: mix, Windows: windows}, cfg)
+}
+
 func intMix(n uint64) [trace.NumClasses]uint64 {
 	var mix [trace.NumClasses]uint64
 	mix[trace.IntALU] = n
@@ -49,7 +54,7 @@ func TestSerialChainLimitsDeff(t *testing.T) {
 	cfg := arch.Base()
 	// A pure serial chain of 1-cycle ALU ops: at most 1 IPC regardless of
 	// dispatch width.
-	r := Analyze([]profiler.Window{chainWindow(256, trace.IntALU)}, intMix(256), &cfg)
+	r := analyze(&cfg, intMix(256), chainWindow(256, trace.IntALU))
 	if r.Deff > 1.3 {
 		t.Fatalf("serial chain Deff = %v, want ~1", r.Deff)
 	}
@@ -57,7 +62,7 @@ func TestSerialChainLimitsDeff(t *testing.T) {
 
 func TestIndependentStreamHitsWidth(t *testing.T) {
 	cfg := arch.Base() // width 4, 3 ALU ports
-	r := Analyze([]profiler.Window{independentWindow(256, trace.IntALU)}, intMix(256), &cfg)
+	r := analyze(&cfg, intMix(256), independentWindow(256, trace.IntALU))
 	// Fully parallel ALU stream: bound by ALU ports (3), not width (4).
 	if r.Deff < 2.5 || r.Deff > 3.01 {
 		t.Fatalf("independent stream Deff = %v, want ~3 (ALU ports)", r.Deff)
@@ -70,7 +75,7 @@ func TestWidthScalesDeff(t *testing.T) {
 	prev := 0.0
 	for _, cfg := range space {
 		c := cfg
-		r := Analyze([]profiler.Window{w}, intMix(256), &c)
+		r := analyze(&c, intMix(256), w)
 		if r.Deff < prev {
 			t.Fatalf("%s: Deff %v decreased with width", cfg.Name, r.Deff)
 		}
@@ -82,7 +87,7 @@ func TestFPDivThrottlesFU(t *testing.T) {
 	cfg := arch.Base()
 	var mix [trace.NumClasses]uint64
 	mix[trace.FPDiv] = 100 // 100% divides, FPPorts=2 -> Deff <= 2
-	r := Analyze([]profiler.Window{independentWindow(128, trace.FPDiv)}, mix, &cfg)
+	r := analyze(&cfg, mix, independentWindow(128, trace.FPDiv))
 	if r.Deff > float64(cfg.FPPorts)+1e-9 {
 		t.Fatalf("all-divide Deff = %v, want <= %d", r.Deff, cfg.FPPorts)
 	}
@@ -90,7 +95,7 @@ func TestFPDivThrottlesFU(t *testing.T) {
 
 func TestEmptyWindowsFallsBackToWidth(t *testing.T) {
 	cfg := arch.Base()
-	r := Analyze(nil, intMix(100), &cfg)
+	r := analyze(&cfg, intMix(100))
 	// FU limit for pure ALU is 3; no ILP info available.
 	if r.Deff > float64(cfg.DispatchWidth) {
 		t.Fatalf("Deff %v exceeds width", r.Deff)
@@ -107,8 +112,8 @@ func TestBranchResolutionDeepChain(t *testing.T) {
 	w.Classes[63] = trace.Branch
 	shallow := chainWindow(64, trace.IntALU)
 	shallow.Classes[1] = trace.Branch
-	deep := Analyze([]profiler.Window{w}, intMix(64), &cfg)
-	early := Analyze([]profiler.Window{shallow}, intMix(64), &cfg)
+	deep := analyze(&cfg, intMix(64), w)
+	early := analyze(&cfg, intMix(64), shallow)
 	if deep.Cres <= early.Cres {
 		t.Fatalf("deep-chain cres %v not larger than early-branch cres %v", deep.Cres, early.Cres)
 	}
@@ -120,7 +125,7 @@ func TestBranchResolutionDeepChain(t *testing.T) {
 func TestDeffNeverBelowFloor(t *testing.T) {
 	cfg := arch.Base()
 	// Degenerate chain of long-latency divides: Deff must stay positive.
-	r := Analyze([]profiler.Window{chainWindow(64, trace.IntDiv)}, intMix(64), &cfg)
+	r := analyze(&cfg, intMix(64), chainWindow(64, trace.IntDiv))
 	if r.Deff < 0.1-1e-12 {
 		t.Fatalf("Deff = %v below floor", r.Deff)
 	}

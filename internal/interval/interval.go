@@ -136,7 +136,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) (
 		return st, d
 	}
 
-	res := ilp.Analyze(ep.Windows, ep.Mix, cfg)
+	res := ilp.Analyze(ep, cfg)
 	d.Deff, d.Cres = res.Deff, res.Cres
 	st.Base = float64(ep.Instr) / res.Deff
 

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"rppm/internal/stats"
@@ -135,8 +136,9 @@ func TestModelSizeBytes(t *testing.T) {
 	}, "hotspot", "streamcluster", "pipeline")
 }
 
-// TestMergeDropsModels: merging into an epoch whose models were already
-// built drops the memo, so the next read models the merged histograms.
+// TestMergeDropsModels: merging into an epoch whose models and ILP walks
+// were already built drops both memos, so the next read models the merged
+// histograms and walks the merged windows.
 func TestMergeDropsModels(t *testing.T) {
 	p := profileBench(t, "srad", 0.05)
 	var e, other *Epoch
@@ -153,10 +155,15 @@ func TestMergeDropsModels(t *testing.T) {
 		t.Fatal("srad thread 0 has fewer than two epochs with loads")
 	}
 	stale := e.Models()
+	k := ILPWalkKey{ROB: 128, LoadLatency: 3}
+	e.StoreILPWalk(k, ILPWalk{IPC: 2, HaveILP: true})
 	e.Merge(other)
 	m := e.Models()
 	if m == stale {
 		t.Fatal("Merge kept the models of the unmerged histograms")
+	}
+	if w, ok := e.ILPWalk(k); ok {
+		t.Fatalf("Merge kept the walk %+v of the unmerged windows", w)
 	}
 	for _, c := range []struct {
 		model *statstack.Model
@@ -167,6 +174,46 @@ func TestMergeDropsModels(t *testing.T) {
 			if got, want := c.model.MissRate(l), fresh.MissRate(l); !sameFloat(got, want) {
 				t.Fatalf("merged MissRate(%d) = %v, fresh build of the merged histogram %v", l, got, want)
 			}
+		}
+	}
+}
+
+// TestILPWalkMemoBound: the walk memo answers every stored key, stores at
+// most MaxILPWalks keys (later stores are dropped, so the table stops
+// growing), keeps the first store of a key, and works under concurrent
+// stores of overlapping keys.
+func TestILPWalkMemoBound(t *testing.T) {
+	walkOf := func(k ILPWalkKey) ILPWalk {
+		return ILPWalk{IPC: float64(k.ROB), Cres: float64(k.LoadLatency), HaveILP: true, HaveBranches: k.ROB%2 == 0}
+	}
+	keys := make([]ILPWalkKey, 2*MaxILPWalks)
+	for i := range keys {
+		keys[i] = ILPWalkKey{ROB: 32 + i, LoadLatency: 3 + i%3}
+	}
+	e := NewEpoch()
+	if _, ok := e.ILPWalk(keys[0]); ok {
+		t.Fatal("fresh epoch answers a walk")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range keys[:MaxILPWalks] {
+				e.StoreILPWalk(k, walkOf(k))
+				e.ILPWalk(k)
+			}
+		}()
+	}
+	wg.Wait()
+	e.StoreILPWalk(keys[0], ILPWalk{})
+	for _, k := range keys[MaxILPWalks:] {
+		e.StoreILPWalk(k, walkOf(k))
+	}
+	for i, k := range keys {
+		got, ok := e.ILPWalk(k)
+		if stored := i < MaxILPWalks; ok != stored || (ok && got != walkOf(k)) {
+			t.Fatalf("key %d %+v: memo answers %+v, %v; want stored=%v %+v", i, k, got, ok, stored, walkOf(k))
 		}
 	}
 }

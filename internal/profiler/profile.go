@@ -27,6 +27,7 @@
 package profiler
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"rppm/internal/branchmodel"
@@ -83,6 +84,10 @@ type Epoch struct {
 	// are read by concurrent prediction workers: racing builders store
 	// identical contents, so either wins.
 	models atomic.Pointer[Models]
+
+	// ilpWalks memoizes the ILP window walk (internal/ilp) per walk key.
+	// Allocated by the first store, dropped by Merge.
+	ilpWalks atomic.Pointer[ilpWalkTable]
 }
 
 // Models are an epoch's StatStack models, built only where the interval
@@ -109,6 +114,79 @@ func (e *Epoch) Models() *Models {
 	}
 	e.models.Store(m)
 	return m
+}
+
+// ILPWalkKey is all the ILP window walk reads of a configuration: the ROB
+// length clamped to the epoch's longest window (a ROB at least that long
+// walks every window as one chunk, so all such ROBs walk alike) and the L1D
+// hit latency that weights loads.
+type ILPWalkKey struct{ ROB, LoadLatency int }
+
+// ILPWalk is the ILP window walk's result under one key.
+type ILPWalk struct {
+	IPC, Cres             float64
+	HaveILP, HaveBranches bool
+}
+
+// MaxILPWalks bounds an epoch's walk memo. SweepSpace(256) reaches at most
+// 15 keys per epoch; past the bound walks are computed and not stored, so
+// a stream of distinct configurations cannot grow a resident profile.
+const MaxILPWalks = 16
+
+type ilpWalkEntry struct {
+	key  ILPWalkKey
+	walk ILPWalk
+}
+
+// ilpWalkTable is an epoch's walk memo. Readers scan the published prefix
+// e[:n] without locking; writers append under mu and publish the entry by
+// storing n after writing it.
+type ilpWalkTable struct {
+	mu sync.Mutex
+	n  atomic.Int32
+	e  [MaxILPWalks]ilpWalkEntry
+}
+
+// ILPWalk returns the memoized walk for k, if stored; safe for concurrent
+// use.
+func (e *Epoch) ILPWalk(k ILPWalkKey) (ILPWalk, bool) {
+	t := e.ilpWalks.Load()
+	if t == nil {
+		return ILPWalk{}, false
+	}
+	for i, n := 0, int(t.n.Load()); i < n; i++ {
+		if t.e[i].key == k {
+			return t.e[i].walk, true
+		}
+	}
+	return ILPWalk{}, false
+}
+
+// StoreILPWalk memoizes the walk for k while the memo holds fewer than
+// MaxILPWalks entries; safe for concurrent use. Racing builders of one key
+// computed the same walk, so the first store serves and later ones are
+// dropped.
+func (e *Epoch) StoreILPWalk(k ILPWalkKey, w ILPWalk) {
+	t := e.ilpWalks.Load()
+	if t == nil {
+		t = new(ilpWalkTable)
+		if !e.ilpWalks.CompareAndSwap(nil, t) {
+			t = e.ilpWalks.Load()
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := int(t.n.Load())
+	if n == MaxILPWalks {
+		return
+	}
+	for i := 0; i < n; i++ {
+		if t.e[i].key == k {
+			return
+		}
+	}
+	t.e[n] = ilpWalkEntry{k, w}
+	t.n.Store(int32(n + 1))
 }
 
 // NewEpoch returns an empty epoch profile.
@@ -144,6 +222,7 @@ func (e *Epoch) Merge(other *Epoch) {
 	e.CoherenceInvalidations += other.CoherenceInvalidations
 	e.Windows = append(e.Windows, other.Windows...)
 	e.models.Store(nil)
+	e.ilpWalks.Store(nil)
 }
 
 // ThreadProfile is one thread's sequence of epochs delimited by its

@@ -28,6 +28,11 @@ func (e *Epoch) SizeBytes() int64 {
 	n += e.Branch.SizeBytes()
 	n += e.PrivateRD.SizeBytes() + e.GlobalRD.SizeBytes() + e.InstrRD.SizeBytes()
 	n += e.modelsSizeBytes()
+	if len(e.Windows) > 0 {
+		// The ILP walk memo, charged at its bound for the same reason:
+		// only epochs with windows are walked, so only they store one.
+		n += int64(unsafe.Sizeof(ilpWalkTable{}))
+	}
 	n += int64(len(e.Windows)) * int64(unsafe.Sizeof(Window{}))
 	for i := range e.Windows {
 		n += e.Windows[i].SizeBytes()
